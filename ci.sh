@@ -11,8 +11,9 @@
 # parser suite, then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
-# engine that fans out through the shared pool, and the fault-injection
-# suite, whose retry/censor/quarantine paths race by construction).
+# engines and yield estimator that fan draws out through the shared pool,
+# and the fault-injection suite, whose retry/censor/quarantine paths race
+# by construction).
 #
 # The mixed-vs-flat differential lane (docs/HIERARCHY.md) rides both
 # sanitizer jobs: the ASan+UBSan build runs the `diff`-labelled harnesses
@@ -183,7 +184,7 @@ fi
 echo "=== build (ThreadSanitizer) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTFETSRAM_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_mc_batch test_faults test_deadline test_sparse_diff test_context test_hier test_la
+cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_mc_batch test_yield test_faults test_deadline test_sparse_diff test_context test_hier test_la
 
 echo "=== tsan: scheduler/cache/pool/fault/context tests ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runner
@@ -192,6 +193,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc
 # exactly the shared-state-across-a-pool shape TSan exists for; the
 # multi-lane differential test races it on purpose.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc_batch
+# Yield rounds extract every draw's device tables on the lane threads
+# that evaluate it (docs/YIELD.md), so the estimator runs under TSan too.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_yield
 # Concurrent tasks pinning conflicting solver backends through their own
 # SimContexts, plus the MC inner-pool stats aggregation, under TSan.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_context

@@ -57,6 +57,9 @@ public:
     [[nodiscard]] Grid2d& t_grid() { return t_grid_; }
     [[nodiscard]] Grid2d& cgs_grid() { return cgs_grid_; }
     [[nodiscard]] Grid2d& cgd_grid() { return cgd_grid_; }
+    [[nodiscard]] const Grid2d& t_grid() const { return t_grid_; }
+    [[nodiscard]] const Grid2d& cgs_grid() const { return cgs_grid_; }
+    [[nodiscard]] const Grid2d& cgd_grid() const { return cgd_grid_; }
 
     /// The fixed output shape F(vds) and its derivative.
     struct OutputShape {

@@ -39,6 +39,26 @@ void MirrorModel::iv_many(const double* vgs, const double* vds, std::size_t n,
         out[i].ids = -out[i].ids;
 }
 
+void MirrorModel::sample_grid(std::span<const double> vgs,
+                              std::span<const double> vds,
+                              const spice::GridRowFn& row) const {
+    std::vector<double> neg_vgs(vgs.size());
+    std::vector<double> neg_vds(vds.size());
+    for (std::size_t i = 0; i < vgs.size(); ++i)
+        neg_vgs[i] = -vgs[i];
+    for (std::size_t i = 0; i < vds.size(); ++i)
+        neg_vds[i] = -vds[i];
+    inner_->sample_grid(
+        neg_vgs, neg_vds,
+        [&row](std::size_t iy, std::span<spice::IvSample> iv,
+               std::span<spice::CvSample> cv) {
+            // The scalar iv()'s transform; C-V passes through as cv() does.
+            for (spice::IvSample& s : iv)
+                s.ids = -s.ids;
+            row(iy, iv, cv);
+        });
+}
+
 spice::TransistorModelPtr make_ntfet(const TfetParams& params) {
     return std::make_shared<TfetModel>(params);
 }

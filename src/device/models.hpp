@@ -25,6 +25,11 @@ public:
     void iv_many(const double* vgs, const double* vds, std::size_t n,
                  spice::IvSample* out) const override;
 
+    /// Mirrored grid sweep: negate both axes, let the inner model sweep
+    /// them (separably, when it can), and negate each row's current.
+    void sample_grid(std::span<const double> vgs, std::span<const double> vds,
+                     const spice::GridRowFn& row) const override;
+
 private:
     spice::TransistorModelPtr inner_;
     std::string name_;

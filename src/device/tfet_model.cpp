@@ -1,6 +1,7 @@
 #include "device/tfet_model.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -82,67 +83,101 @@ TfetModel::Kernel TfetModel::kernel(double vgs) const {
     return {i, di_de * de_dvgs};
 }
 
-spice::IvSample TfetModel::iv(double vgs, double vds) const {
-    const Kernel k = kernel(vgs);
-
+TfetModel::OutputTerms TfetModel::output_terms(double vds) const {
     // Output factor: exponential-onset saturation (forward), weak mirrored
     // saturating branch for the gated reverse tunneling. Slopes match at
     // vds = 0, so the composite is C1 there.
-    double fo = 0.0;
-    double dfo = 0.0;
+    OutputTerms o{0.0, 0.0, vds < 0.0, 0.0, 0.0};
     if (vds >= 0.0) {
         const double ex = std::exp(-vds / params_.v_sat);
         const double clm = 1.0 + params_.lambda * vds;
-        fo = (1.0 - ex) * clm;
-        dfo = ex / params_.v_sat * clm + (1.0 - ex) * params_.lambda;
+        o.fo = (1.0 - ex) * clm;
+        o.dfo = ex / params_.v_sat * clm + (1.0 - ex) * params_.lambda;
     } else {
         const double a = params_.r_rev * params_.v_sat;
         const double ex = std::exp(vds / a); // vds < 0 -> ex in (0,1)
-        fo = -params_.r_rev * (1.0 - ex);
-        dfo = params_.r_rev / a * ex;
+        o.fo = -params_.r_rev * (1.0 - ex);
+        o.dfo = params_.r_rev / a * ex;
     }
-
-    double ids = k.i * fo;
-    double gm = k.di_dvgs * fo;
-    double gds = k.i * dfo;
 
     // p-i-n body diode under reverse bias (vds < 0): current flows source to
     // drain, i.e. negative in the drain->source convention. Linearized past
     // pin_vcrit so Newton cannot overflow the exponential.
-    if (vds < 0.0) {
+    if (o.reverse) {
         const double u = -vds;
-        double i_pin = 0.0;
-        double g_pin = 0.0;
         if (u <= params_.pin_vcrit) {
             const double e_u = std::exp(u / params_.pin_vdec);
-            i_pin = pin_is_eff_ * (e_u - 1.0);
-            g_pin = pin_is_eff_ / params_.pin_vdec * e_u;
+            o.i_pin = pin_is_eff_ * (e_u - 1.0);
+            o.g_pin = pin_is_eff_ / params_.pin_vdec * e_u;
         } else {
             const double e_c = std::exp(params_.pin_vcrit / params_.pin_vdec);
             const double i_c = pin_is_eff_ * (e_c - 1.0);
             const double g_c = pin_is_eff_ / params_.pin_vdec * e_c;
-            i_pin = i_c + g_c * (u - params_.pin_vcrit);
-            g_pin = g_c;
+            o.i_pin = i_c + g_c * (u - params_.pin_vcrit);
+            o.g_pin = g_c;
         }
-        ids -= i_pin;
-        gds += g_pin;
     }
-
-    return {ids, gm, gds};
+    return o;
 }
 
-spice::CvSample TfetModel::cv(double vgs, double vds) const {
+spice::IvSample TfetModel::combine_iv(const Kernel& k, const OutputTerms& o) {
+    spice::IvSample s{k.i * o.fo, k.di_dvgs * o.fo, k.i * o.dfo};
+    if (o.reverse) {
+        s.ids -= o.i_pin;
+        s.gds += o.g_pin;
+    }
+    return s;
+}
+
+spice::IvSample TfetModel::iv(double vgs, double vds) const {
+    return combine_iv(kernel(vgs), output_terms(vds));
+}
+
+double TfetModel::cv_channel(double vgs) const {
+    return sigmoid((vgs - params_.cv_vth) / params_.cv_slope);
+}
+
+double TfetModel::cv_saturation(double vds) {
+    return sigmoid((vds - 0.3) / 0.1);
+}
+
+spice::CvSample TfetModel::combine_cv(double ch, double sat) const {
     // TFET gate capacitance is famously drain-dominated in saturation: the
     // source side is tunnel-limited, so the channel charge communicates
     // with the drain (the enhanced Miller capacitance TFET circuits see).
     // Near vds = 0 the channel charge splits roughly evenly between the
     // terminals, as in a triode MOSFET.
-    const double ch = sigmoid((vgs - params_.cv_vth) / params_.cv_slope);
-    const double sat = sigmoid((vds - 0.3) / 0.1);
     const double c0 = params_.c_gate;
     const double cgd = c0 * (0.10 + ch * (0.35 + 0.35 * sat));
     const double cgs = c0 * (0.10 + ch * 0.35 * (1.0 - sat));
     return {cgs, cgd};
+}
+
+spice::CvSample TfetModel::cv(double vgs, double vds) const {
+    return combine_cv(cv_channel(vgs), cv_saturation(vds));
+}
+
+void TfetModel::sample_grid(std::span<const double> vgs,
+                            std::span<const double> vds,
+                            const spice::GridRowFn& row) const {
+    const std::size_t nx = vgs.size();
+    std::vector<Kernel> kernels(nx);
+    std::vector<double> channel(nx);
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+        kernels[ix] = kernel(vgs[ix]);
+        channel[ix] = cv_channel(vgs[ix]);
+    }
+    std::vector<spice::IvSample> iv_row(nx);
+    std::vector<spice::CvSample> cv_row(nx);
+    for (std::size_t iy = 0; iy < vds.size(); ++iy) {
+        const OutputTerms o = output_terms(vds[iy]);
+        const double sat = cv_saturation(vds[iy]);
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+            iv_row[ix] = combine_iv(kernels[ix], o);
+            cv_row[ix] = combine_cv(channel[ix], sat);
+        }
+        row(iy, iv_row, cv_row);
+    }
 }
 
 } // namespace tfetsram::device

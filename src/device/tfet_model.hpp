@@ -85,6 +85,13 @@ public:
     [[nodiscard]] spice::CvSample cv(double vgs, double vds) const override;
     [[nodiscard]] const char* name() const override { return "nTFET"; }
 
+    /// Separable grid sweep: the tunneling kernel and the C-V channel
+    /// term depend only on vgs, the output factor, p-i-n diode and C-V
+    /// saturation term only on vds, so each is evaluated once per axis
+    /// node and combined per grid node exactly as iv()/cv() combine them.
+    void sample_grid(std::span<const double> vgs, std::span<const double> vds,
+                     const spice::GridRowFn& row) const override;
+
     [[nodiscard]] const TfetParams& params() const { return params_; }
 
     /// Kane prefactor resolved by calibration.
@@ -101,6 +108,25 @@ public:
     [[nodiscard]] Kernel kernel(double vgs) const;
 
 private:
+    /// The vds-only factors of iv(): output factor fo (with dfo =
+    /// d fo / d vds) and, under reverse bias, the p-i-n diode branch.
+    struct OutputTerms {
+        double fo;
+        double dfo;
+        bool reverse; ///< vds < 0: the diode branch applies
+        double i_pin;
+        double g_pin;
+    };
+    [[nodiscard]] OutputTerms output_terms(double vds) const;
+    [[nodiscard]] static spice::IvSample combine_iv(const Kernel& k,
+                                                    const OutputTerms& o);
+
+    /// The vgs-only (channel formation) and vds-only (drain saturation)
+    /// sigmoids of cv(), and their per-node combination.
+    [[nodiscard]] double cv_channel(double vgs) const;
+    [[nodiscard]] static double cv_saturation(double vds);
+    [[nodiscard]] spice::CvSample combine_cv(double ch, double sat) const;
+
     TfetParams params_;
     double kane_k_ = 0.0;
     double kane_b_ = 0.0;

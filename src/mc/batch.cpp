@@ -12,11 +12,12 @@ namespace tfetsram::mc {
 
 McResult run_sample_block(const spice::SimContext& ctx,
                           const sram::CellConfig& base_config,
-                          std::span<const TfetVariationSampler::Draw> draws,
+                          const TfetVariationSampler& sampler,
+                          std::span<const double> tox,
                           const CellMetric& metric,
                           const la::Vector& nominal_seed,
                           const BatchOptions& options, BatchStats* stats) {
-    const std::size_t n = draws.size();
+    const std::size_t n = tox.size();
     TFET_EXPECTS(n >= 1);
     TFET_EXPECTS(metric != nullptr);
     TFET_EXPECTS(options.policy.max_attempts >= 1);
@@ -44,6 +45,7 @@ McResult run_sample_block(const spice::SimContext& ctx,
         std::min(runner::ThreadPool::resolve(options.threads), n);
     std::vector<std::size_t> lane_builds(lanes, 0);
     std::vector<std::size_t> lane_retargets(lanes, 0);
+    std::vector<std::size_t> lane_draws(lanes, 0);
     std::vector<std::size_t> lane_censored(lanes, 0);
     std::vector<std::size_t> lane_retried(lanes, 0);
 
@@ -61,9 +63,14 @@ McResult run_sample_block(const spice::SimContext& ctx,
             int attempt = 1;
             // Sample-boundary cancellation checkpoint, identical to the
             // serial engine: once the batch's token fires, remaining
-            // samples censor without spending a solve.
+            // samples censor without spending a draw or a solve.
             const bool expired =
                 cctx.poll_cancellation() != spice::SolveErrorCode::kNone;
+            device::ModelSet models;
+            if (!expired) {
+                models = sampler.draw_at_tox(tox[i]).models;
+                ++lane_draws[lane];
+            }
             for (; !expired && attempt <= options.policy.max_attempts;
                  ++attempt) {
                 // First attempt runs on the persistent lane cell (built
@@ -75,13 +82,13 @@ McResult run_sample_block(const spice::SimContext& ctx,
                 std::optional<sram::SramCell> scratch;
                 sram::SramCell* cell = nullptr;
                 if (lockstep && lane_cell) {
-                    sram::retarget_models(*lane_cell, draws[i].models);
+                    sram::retarget_models(*lane_cell, models);
                     lane_cell->sim = &cctx; // attribute this sample's work
                     ++lane_retargets[lane];
                     cell = &*lane_cell;
                 } else {
                     sram::CellConfig cfg = base_config;
-                    cfg.models = draws[i].models;
+                    cfg.models = models;
                     if (attempt > 1 && options.policy.reseed)
                         options.policy.reseed(cfg, attempt, i);
                     ++lane_builds[lane];
@@ -125,7 +132,7 @@ McResult run_sample_block(const spice::SimContext& ctx,
                 ++lane_censored[lane];
             result.samples[i] = value;
             result.censored[i] = converged ? 0 : 1;
-            result.tox_values[i] = draws[i].tox;
+            result.tox_values[i] = tox[i];
         }
     });
     // parallel_for is a barrier: children are quiescent, fold their
@@ -141,6 +148,7 @@ McResult run_sample_block(const spice::SimContext& ctx,
         for (std::size_t lane = 0; lane < lanes; ++lane) {
             stats->cell_builds += lane_builds[lane];
             stats->model_retargets += lane_retargets[lane];
+            stats->draws += lane_draws[lane];
         }
     }
     result.n_censored = n_censored;
@@ -157,20 +165,19 @@ McResult run_monte_carlo_batched(const spice::SimContext& ctx,
                                  std::size_t threads, const McPolicy& policy,
                                  BatchStats* stats) {
     TFET_EXPECTS(n >= 1);
-    // Identical up-front draw stream and nominal warm-start solve as the
+    // Identical up-front tox stream and nominal warm-start solve as the
     // serial engine, so the two are sample-for-sample comparable.
-    std::vector<TfetVariationSampler::Draw> draws;
-    draws.reserve(n);
+    std::vector<double> tox(n);
     Rng rng(seed);
-    for (std::size_t i = 0; i < n; ++i)
-        draws.push_back(sampler.sample(rng));
+    for (double& t : tox)
+        t = sampler.sample_tox(rng);
     const la::Vector nominal_seed = nominal_hold_seed(ctx, base_config);
 
     BatchOptions options;
     options.threads = threads;
     options.policy = policy;
-    return run_sample_block(ctx, base_config, draws, metric, nominal_seed,
-                            options, stats);
+    return run_sample_block(ctx, base_config, sampler, tox, metric,
+                            nominal_seed, options, stats);
 }
 
 } // namespace tfetsram::mc

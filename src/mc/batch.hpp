@@ -17,6 +17,11 @@
 // sample. tests/test_mc_batch.cpp holds the contract; the one documented
 // divergence is on a sparse-forced cell, where lane reuse performs one
 // symbolic analysis per lane instead of one per sample.
+//
+// Draw flow: callers pick every sample's tox up front (the only RNG use);
+// each lane extracts a sample's model set itself, after the sample's
+// cancellation checkpoint, and drops it once the next sample retargets
+// the lane cell — so memory is bounded by the lanes, not the block size.
 
 #include <span>
 
@@ -27,7 +32,7 @@ namespace tfetsram::mc {
 struct BatchOptions {
     std::size_t threads = 0; ///< worker lanes; 0 = hardware concurrency
     McPolicy policy;
-    /// Child-context stream of draws[0]; draw i runs under stream
+    /// Child-context stream of tox[0]; sample i runs under stream
     /// `stream_offset + i`. The adaptive yield driver bumps this per round
     /// so every sample of a run keeps a globally unique, deterministic
     /// seed stream.
@@ -43,18 +48,22 @@ struct BatchStats {
     std::size_t lanes = 0;           ///< worker lanes spun up
     std::size_t cell_builds = 0;     ///< full netlist constructions
     std::size_t model_retargets = 0; ///< in-place swaps that skipped one
+    std::size_t draws = 0; ///< model sets extracted (expired samples skip)
 };
 
-/// Evaluate `metric` on every draw through persistent lockstep lanes.
-/// Sample i runs under ctx.child(stream_offset + i) with the same
-/// cancellation checkpoints, retry policy (retries rebuild fresh cells,
+/// Evaluate `metric` at every thickness in `tox` through persistent
+/// lockstep lanes; the lane running sample i builds its model set with
+/// sampler.draw_at_tox(tox[i]) once the sample passes its cancellation
+/// checkpoint. Sample i runs under ctx.child(stream_offset + i) with the
+/// same cancellation checkpoints, retry policy (retries rebuild fresh cells,
 /// exactly like the serial engine), and censoring semantics as
 /// run_monte_carlo; child counters fold back into ctx in index order.
 /// `nominal_seed` warm-starts each sample's first DC solve (pass
 /// nominal_hold_seed(...) or empty for cold starts).
 McResult run_sample_block(const spice::SimContext& ctx,
                           const sram::CellConfig& base_config,
-                          std::span<const TfetVariationSampler::Draw> draws,
+                          const TfetVariationSampler& sampler,
+                          std::span<const double> tox,
                           const CellMetric& metric,
                           const la::Vector& nominal_seed,
                           const BatchOptions& options = {},

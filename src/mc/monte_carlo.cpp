@@ -22,13 +22,14 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
     TFET_EXPECTS(metric != nullptr);
     TFET_EXPECTS(policy.max_attempts >= 1);
 
-    // Draw all samples up front from one stream: the results are then
-    // independent of how the evaluations are scheduled.
-    std::vector<TfetVariationSampler::Draw> draws;
-    draws.reserve(n);
+    // Draw every thickness up front from one stream — the only RNG use —
+    // so the results are independent of how the evaluations are
+    // scheduled. The model sets themselves (the per-draw table
+    // extraction) are built inside the pool, one per sample.
+    std::vector<double> tox(n);
     Rng rng(seed);
-    for (std::size_t i = 0; i < n; ++i)
-        draws.push_back(sampler.sample(rng));
+    for (double& t : tox)
+        t = sampler.sample_tox(rng);
 
     const la::Vector nominal_seed = nominal_hold_seed(ctx, base_config);
 
@@ -48,9 +49,11 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
         children.push_back(
             std::make_unique<spice::SimContext>(ctx.child(i)));
 
-    // Fan the evaluations out through the shared concurrency substrate.
-    // Each index writes only its own slots and depends only on its own
-    // draw, so the result is identical for every thread count.
+    // Fan the draws and evaluations out through the shared concurrency
+    // substrate. Each index writes only its own slots and depends only on
+    // its own thickness, so the result is identical for every thread
+    // count; each sample's model set lives only while the sample runs, so
+    // memory is bounded by the draws in flight, not by n.
     threads = std::min(runner::ThreadPool::resolve(threads), n);
     runner::ThreadPool pool(threads);
     pool.parallel_for(n, [&](std::size_t i) {
@@ -59,19 +62,22 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
         double value = std::numeric_limits<double>::quiet_NaN();
         bool converged = false;
         int attempt = 1;
-        // Sample-boundary cancellation checkpoint: once the batch's token
-        // fires or its deadline expires, remaining samples censor without
-        // spending a solve — they flow into n_censored exactly like
-        // non-converged samples, and censored_yield_interval's worst-case
-        // imputation covers them.
+        // Sample-boundary cancellation checkpoint, ahead of the draw:
+        // once the batch's token fires or its deadline expires, remaining
+        // samples censor without spending a table extraction or a solve —
+        // they flow into n_censored exactly like non-converged samples,
+        // and censored_yield_interval's worst-case imputation covers them.
         const bool expired =
             cctx.poll_cancellation() != spice::SolveErrorCode::kNone;
+        device::ModelSet models;
+        if (!expired)
+            models = sampler.draw_at_tox(tox[i]).models;
         for (; !expired && attempt <= policy.max_attempts; ++attempt) {
             // Rebuild from scratch every attempt: fresh device companion
             // state is itself a re-seeded restart, and the reseed hook can
             // additionally perturb the config before the retry.
             sram::CellConfig cfg = base_config;
-            cfg.models = draws[i].models;
+            cfg.models = models;
             if (attempt > 1 && policy.reseed)
                 policy.reseed(cfg, attempt, i);
             sram::SramCell cell = sram::build_cell(cfg, &cctx);
@@ -97,7 +103,7 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
             n_censored.fetch_add(1, std::memory_order_relaxed);
         result.samples[i] = value;
         result.censored[i] = converged ? 0 : 1;
-        result.tox_values[i] = draws[i].tox;
+        result.tox_values[i] = tox[i];
     });
     // parallel_for is a barrier, so the children's counters are quiescent
     // here; fold them into the parent in index order (deterministic sums,

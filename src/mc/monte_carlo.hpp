@@ -58,8 +58,10 @@ struct McResult {
 /// rebuilds the cell from `base_config` with them, and evaluates `metric`.
 ///
 /// `threads` = 0 uses the hardware concurrency; 1 runs serially. Results
-/// are deterministic in the seed regardless of the thread count (each
-/// sample's models are drawn up front from one RNG stream; metric
+/// are deterministic in the seed regardless of the thread count (every
+/// sample's tox is drawn up front from one RNG stream; the worker that
+/// evaluates a sample extracts its model set after the sample's
+/// cancellation checkpoint and drops it when the sample is done; metric
 /// evaluations are independent because every worker gets its own cell).
 /// The metric must therefore be safe to call concurrently on distinct
 /// cells (all device models are immutable).

@@ -16,17 +16,24 @@ TfetVariationSampler::TfetVariationSampler(const VariationSpec& spec)
 }
 
 TfetVariationSampler::Draw TfetVariationSampler::sample(Rng& rng) const {
+    return draw_at_tox(sample_tox(rng));
+}
+
+double TfetVariationSampler::sample_tox(Rng& rng) const {
     const double nominal = spec_.base.tox_nom;
-    return draw_at_tox(rng.truncated_normal(nominal,
-                                            spec_.tox_sigma_frac * nominal,
-                                            spec_.tox_bound_frac * nominal));
+    return rng.truncated_normal(nominal, spec_.tox_sigma_frac * nominal,
+                                spec_.tox_bound_frac * nominal);
 }
 
 TfetVariationSampler::Draw TfetVariationSampler::sample_at(double u) const {
+    return draw_at_tox(tox_at(u));
+}
+
+double TfetVariationSampler::tox_at(double u) const {
     TFET_EXPECTS(std::isfinite(u));
     const double nominal = spec_.base.tox_nom;
-    return draw_at_tox(
-        std::max(nominal * (1.0 + spec_.tox_sigma_frac * u), 0.05 * nominal));
+    return std::max(nominal * (1.0 + spec_.tox_sigma_frac * u),
+                    0.05 * nominal);
 }
 
 TfetVariationSampler::Draw TfetVariationSampler::draw_at_tox(

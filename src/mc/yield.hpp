@@ -176,9 +176,10 @@ struct CellYieldProblem {
 };
 
 /// Estimate a cell's failure probability: every adaptive round draws u
-/// from the proposal, maps them through TfetVariationSampler::sample_at
-/// (untruncated tails), and evaluates the metric through the lockstep
-/// engine (run_sample_block) under ctx — sample i of the whole run uses
+/// from the proposal, maps them to thicknesses with sample_at's mapping
+/// (TfetVariationSampler::tox_at, untruncated tails), and evaluates the
+/// metric through the lockstep engine (run_sample_block, whose lanes
+/// extract each draw's tables) under ctx — sample i of the whole run uses
 /// child stream i, so results are deterministic in (seed, ctx seed) for
 /// every thread count. Censored samples flow into the conservative
 /// bounds. `stats`, when given, accumulates lockstep bookkeeping.

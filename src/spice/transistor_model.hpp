@@ -6,7 +6,10 @@
 // Verilog-A flow uses) live in src/device.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 namespace tfetsram::spice {
 
@@ -23,6 +26,12 @@ struct CvSample {
     double cgs; ///< gate-source capacitance [F/um]
     double cgd; ///< gate-drain capacitance [F/um]
 };
+
+/// One vds row of a grid sweep: iv[ix] and cv[ix] are the samples at
+/// (vgs[ix], vds[iy]). The spans are the sweep's scratch rows — the
+/// callback may modify them, and the next row overwrites them.
+using GridRowFn = std::function<void(std::size_t iy, std::span<IvSample> iv,
+                                     std::span<CvSample> cv)>;
 
 /// Abstract transistor characteristics. Implementations must be smooth
 /// enough for Newton iteration (C1 in both arguments) and defined for all
@@ -49,6 +58,28 @@ public:
 
     /// C-V characteristic.
     [[nodiscard]] virtual CvSample cv(double vgs, double vds) const = 0;
+
+    /// Grid sweep: I-V and C-V over the tensor product of the `vgs` and
+    /// `vds` axes, handed to `row` one vds row at a time in order
+    /// iy = 0, 1, ... — the table extractor's one call per build, which
+    /// never materializes the full grid. The default loops iv()/cv();
+    /// models whose physics separates per axis override it to evaluate
+    /// each per-vgs and per-vds term once. Overrides MUST be bitwise-
+    /// identical to the scalar loop (same contract as iv_many):
+    /// extracted tables may not depend on which path built them.
+    virtual void sample_grid(std::span<const double> vgs,
+                             std::span<const double> vds,
+                             const GridRowFn& row) const {
+        std::vector<IvSample> iv_row(vgs.size());
+        std::vector<CvSample> cv_row(vgs.size());
+        for (std::size_t iy = 0; iy < vds.size(); ++iy) {
+            for (std::size_t ix = 0; ix < vgs.size(); ++ix) {
+                iv_row[ix] = iv(vgs[ix], vds[iy]);
+                cv_row[ix] = cv(vgs[ix], vds[iy]);
+            }
+            row(iy, iv_row, cv_row);
+        }
+    }
 
     /// Short human-readable name for reports ("nTFET", "pMOS", ...).
     [[nodiscard]] virtual const char* name() const = 0;

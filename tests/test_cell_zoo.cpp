@@ -192,6 +192,11 @@ struct LegacyCase {
     AccessDevice access;
 };
 
+// Without this gtest prints the parameter as raw object bytes, which include
+// the ASLR-randomised address of `name`, so the listed test names (and the
+// ctest names discovered from them) would change on every build.
+void PrintTo(const LegacyCase& tc, std::ostream* os) { *os << tc.name; }
+
 const std::vector<LegacyCase>& legacy_cases() {
     static const std::vector<LegacyCase> cases = {
         {"tfet6t_inwardP", CellKind::kTfet6T, AccessDevice::kInwardP},

@@ -32,6 +32,7 @@
 #include "sram/metrics.hpp"
 #include "util/env.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 
 namespace tfetsram {
 namespace {
@@ -376,6 +377,57 @@ TEST(McCancellation, MidBatchExpiryCensorsOnlyRemainingSamples) {
     EXPECT_DOUBLE_EQ(cens.lower, mc::yield_interval(3, 6).lower);
     EXPECT_DOUBLE_EQ(cens.upper, mc::yield_interval(6, 6).upper);
     EXPECT_LT(cens.lower, mc::yield_interval(3, 3).lower);
+}
+
+TEST(McCancellation, PreFiredTokenCensorsWithoutExtractingDraws) {
+    // Table extraction sits behind the sample's cancellation checkpoint:
+    // under a token that fired before the call, every sample censors,
+    // still reports the tox it drew, and no model set is built.
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    mc::VariationSpec vspec;
+    vspec.table_spec.points = 121;
+    const mc::TfetVariationSampler sampler(vspec);
+    constexpr std::size_t kN = 6;
+    constexpr std::uint64_t kSeed = 29;
+    Rng rng(kSeed);
+    std::vector<double> expect_tox;
+    for (std::size_t i = 0; i < kN; ++i)
+        expect_tox.push_back(sampler.sample_tox(rng));
+
+    for (bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "lockstep" : "serial");
+        spice::SimConfig sim;
+        sim.cancel = std::make_shared<spice::CancelToken>();
+        sim.cancel->cancel();
+        const spice::SimContext ctx(sim);
+        int metric_calls = 0;
+        const mc::CellMetric metric = [&](sram::SramCell&) {
+            ++metric_calls;
+            return 0.0;
+        };
+        mc::BatchStats stats;
+        const mc::McResult res =
+            batched ? mc::run_monte_carlo_batched(ctx, cfg, sampler, kN,
+                                                  kSeed, metric,
+                                                  /*threads=*/2,
+                                                  mc::McPolicy{}, &stats)
+                    : mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed,
+                                          metric, /*threads=*/2);
+        EXPECT_EQ(metric_calls, 0);
+        EXPECT_EQ(res.n_censored, kN);
+        EXPECT_EQ(res.n_retried, 0u);
+        EXPECT_EQ(res.summary.count, 0u);
+        ASSERT_EQ(res.tox_values.size(), kN);
+        for (std::size_t i = 0; i < kN; ++i) {
+            EXPECT_EQ(res.censored[i], 1) << "i=" << i;
+            EXPECT_EQ(res.tox_values[i], expect_tox[i]) << "i=" << i;
+        }
+        if (batched) {
+            EXPECT_EQ(stats.draws, 0u);
+            EXPECT_EQ(stats.cell_builds, 0u);
+        }
+    }
 }
 
 // ------------------------------------------------------- stall fault site

@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include "mc/batch.hpp"
 #include "mc/monte_carlo.hpp"
@@ -245,9 +252,9 @@ TEST(McBatch, RebuildEscapeHatchMatchesSerialBuildCounts) {
     constexpr std::uint64_t kSeed = 3;
 
     Rng rng(kSeed);
-    std::vector<TfetVariationSampler::Draw> draws;
+    std::vector<double> tox;
     for (std::size_t i = 0; i < kN; ++i)
-        draws.push_back(sampler.sample(rng));
+        tox.push_back(sampler.sample_tox(rng));
 
     spice::SimContext ctx{spice::SimConfig{}};
     const la::Vector seed_x = nominal_hold_seed(ctx, cfg);
@@ -255,12 +262,135 @@ TEST(McBatch, RebuildEscapeHatchMatchesSerialBuildCounts) {
     options.threads = 1;
     options.reuse_cells = false;
     BatchStats stats;
-    const McResult res = run_sample_block(ctx, cfg, draws,
+    const McResult res = run_sample_block(ctx, cfg, sampler, tox,
                                           hold_power_metric(), seed_x,
                                           options, &stats);
     EXPECT_EQ(res.n_censored, 0u);
     EXPECT_EQ(stats.cell_builds, kN);
     EXPECT_EQ(stats.model_retargets, 0u);
+    EXPECT_EQ(stats.draws, kN);
+}
+
+/// Independent serial reference for the in-pool draw flow: every draw is
+/// prebuilt up front with sampler.sample(rng) — the pre-pool flow — and
+/// evaluated in index order under ctx.child(i), with the engines'
+/// fresh-cell retry and censoring policy and an index-ordered stats fold.
+McResult prebuilt_serial_reference(const spice::SimContext& ctx,
+                                   const sram::CellConfig& cfg,
+                                   const TfetVariationSampler& sampler,
+                                   std::size_t n, std::uint64_t seed,
+                                   const CellMetric& metric,
+                                   int max_attempts) {
+    Rng rng(seed);
+    std::vector<TfetVariationSampler::Draw> draws;
+    for (std::size_t i = 0; i < n; ++i)
+        draws.push_back(sampler.sample(rng));
+    const la::Vector nominal = nominal_hold_seed(ctx, cfg);
+
+    McResult res;
+    for (std::size_t i = 0; i < n; ++i) {
+        spice::SimContext cctx = ctx.child(i);
+        const spice::ScopedContext bind(cctx);
+        double value = std::numeric_limits<double>::quiet_NaN();
+        int attempts = 0;
+        bool converged = false;
+        while (!converged && attempts < max_attempts) {
+            ++attempts;
+            sram::CellConfig c = cfg;
+            c.models = draws[i].models;
+            sram::SramCell cell = sram::build_cell(c, &cctx);
+            cell.dc_seed = nominal;
+            try {
+                value = metric(cell);
+                converged = true;
+            } catch (const spice::SolveException&) {
+            }
+        }
+        if (attempts > 1 || !converged)
+            ++res.n_retried;
+        if (!converged)
+            ++res.n_censored;
+        res.samples.push_back(value);
+        res.tox_values.push_back(draws[i].tox);
+        res.censored.push_back(converged ? 0 : 1);
+        ctx.stats() += cctx.stats();
+    }
+    res.summary = summarize(res.samples);
+    return res;
+}
+
+TEST(McBatch, EnginesMatchPrebuiltSerialReference) {
+    // Draws built inside the pool must be invisible: both engines, at 1
+    // and 4 threads, reproduce the prebuilt serial reference bitwise —
+    // samples, tox, censor/retry bookkeeping and folded counters. The
+    // failure schedule is keyed on each sample's child seed (not a call
+    // counter), so it is the same under any thread interleaving: sample 2
+    // fails every attempt (censored), samples 5 and 9 fail only their
+    // first attempt (retried).
+    const sram::CellConfig cfg = test_cell();
+    const TfetVariationSampler sampler(coarse_variation());
+    constexpr std::size_t kN = 12;
+    constexpr std::uint64_t kSeed = 43;
+    const McPolicy policy;
+
+    const auto make_metric = [](const spice::SimContext& parent) {
+        struct Schedule {
+            std::mutex mu;
+            std::map<std::uint64_t, int> calls; ///< child seed -> attempts
+            std::uint64_t always = 0;
+            std::vector<std::uint64_t> once;
+        };
+        auto sched = std::make_shared<Schedule>();
+        sched->always = parent.child(2).seed();
+        sched->once = {parent.child(5).seed(), parent.child(9).seed()};
+        return CellMetric([sched](sram::SramCell& cell) {
+            const std::uint64_t key = spice::ambient_context().seed();
+            int call = 0;
+            {
+                const std::lock_guard<std::mutex> lock(sched->mu);
+                call = ++sched->calls[key];
+            }
+            const bool once = std::find(sched->once.begin(),
+                                        sched->once.end(),
+                                        key) != sched->once.end();
+            if (key == sched->always || (once && call == 1)) {
+                spice::SolveError err;
+                err.code = spice::SolveErrorCode::kNonConvergence;
+                err.message = "scheduled metric failure";
+                throw spice::SolveException(std::move(err));
+            }
+            return sram::worst_hold_static_power(cell,
+                                                 sram::MetricOptions{});
+        });
+    };
+
+    spice::SimContext ref_ctx{spice::SimConfig{}};
+    const McResult ref =
+        prebuilt_serial_reference(ref_ctx, cfg, sampler, kN, kSeed,
+                                  make_metric(ref_ctx), policy.max_attempts);
+    ASSERT_EQ(ref.n_censored, 1u);
+    ASSERT_EQ(ref.n_retried, 3u);
+    ASSERT_EQ(ref.censored[2], 1u);
+
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        spice::SimContext serial_ctx{spice::SimConfig{}};
+        const McResult serial =
+            run_monte_carlo(serial_ctx, cfg, sampler, kN, kSeed,
+                            make_metric(serial_ctx), threads, policy);
+        expect_identical_results(ref, serial);
+        expect_identical_counters(ref_ctx.stats(), serial_ctx.stats());
+
+        spice::SimContext batch_ctx{spice::SimConfig{}};
+        BatchStats stats;
+        const McResult batched = run_monte_carlo_batched(
+            batch_ctx, cfg, sampler, kN, kSeed, make_metric(batch_ctx),
+            threads, policy, &stats);
+        expect_identical_results(ref, batched);
+        expect_identical_counters(ref_ctx.stats(), batch_ctx.stats());
+        // One extraction per sample, however many lanes.
+        EXPECT_EQ(stats.draws, kN);
+    }
 }
 
 } // namespace

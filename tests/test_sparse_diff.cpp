@@ -195,11 +195,12 @@ TEST(SparseDenseRandom, StaticPivotPathAgreesWithAlwaysPivotPath) {
         ASSERT_TRUE(fast.refactor(sa)) << "pass " << pass;
         ASSERT_TRUE(reference.refactor(sa)) << "pass " << pass;
         EXPECT_FALSE(reference.last_refactor().static_hit);
-        if (pass > 0)
+        if (pass > 0) {
             EXPECT_TRUE(fast.last_refactor().static_hit)
                 << "well-conditioned drift should reuse the pivot "
                    "sequence on pass "
                 << pass;
+        }
 
         la::Vector b(n);
         for (std::size_t i = 0; i < n; ++i)
