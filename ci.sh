@@ -8,7 +8,8 @@
 # (docs/CELLZOO.md), an ASan+UBSan build running the
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
 # pivoting are exactly the code sanitizers exist for) plus the netlist
-# parser suite, then a
+# parser suite and the runner suite (journal and BENCH emission build JSON
+# strings), then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
 # engines and yield estimator that fan draws out through the shared pool,
@@ -19,7 +20,7 @@
 # sanitizer jobs: the ASan+UBSan build runs the `diff`-labelled harnesses
 # (sparse-vs-dense kernel parity AND mixed-vs-flat engine parity), and the
 # TSan build runs the hier unit suite, whose counter contracts flow through
-# the ambient per-thread SolverStats the context tests race on.
+# the ambient context's SolverStats sink the context tests race on.
 #
 # Usage: ./ci.sh [--skip-tsan] [--skip-asan]
 set -euo pipefail
@@ -152,7 +153,7 @@ else
   echo "=== build (Address+UndefinedBehaviorSanitizer) ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTFETSRAM_SANITIZE=address,undefined
-  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist
+  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner
 
   echo "=== asan+ubsan: linear-kernel and differential suites ==="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -174,6 +175,10 @@ else
   # string handling like that belongs under the memory sanitizers.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_netlist
+  # Telemetry renders every task's journal line and the BENCH artifact as
+  # JSON strings; the schema contract test drives every counter group.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_runner
 fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then
@@ -215,7 +220,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_faults \
 # scheduler's drain. The deadline suite must be TSan-clean.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_deadline
 # Mixed-engine counter contracts: hier promotions/demotions bump the
-# ambient per-thread SolverStats; the exact-count assertions must hold
+# ambient context's SolverStats; the exact-count assertions must hold
 # under TSan's scheduling too.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_hier
 

@@ -1,6 +1,5 @@
 #include "runner/telemetry.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -44,6 +43,17 @@ Json metrics_json(
     return object;
 }
 
+/// Whether a sink prints solver field `f` for `s`: core fields always,
+/// nonzero-only fields when nonzero, any other group when it did work, so
+/// dense-only and flat-only journals keep their historical shape.
+bool reported(const spice::StatField& f, const spice::SolverStats& s) {
+    switch (f.group) {
+    case spice::StatGroup::kCore: return true;
+    case spice::StatGroup::kNonzeroOnly: return s.*f.member > 0;
+    default: return spice::did_work(s, f.group);
+    }
+}
+
 } // namespace
 
 std::string to_string(TaskStatus status) {
@@ -80,33 +90,7 @@ void Telemetry::record(const TaskRecord& record) {
     case TaskStatus::kQuarantined: ++summary_.quarantined; break;
     case TaskStatus::kCancelled: ++summary_.cancelled; break;
     }
-    summary_.nr_iterations += record.solver.nr_iterations;
-    summary_.dc_solves += record.solver.dc_solves;
-    summary_.transient_steps += record.solver.transient_steps;
-    summary_.transient_solves += record.solver.transient_solves;
-    summary_.assemblies += record.solver.assemblies;
-    summary_.lu_factorizations += record.solver.lu_factorizations;
-    summary_.line_search_backtracks += record.solver.line_search_backtracks;
-    summary_.sparse_refactorizations += record.solver.sparse_refactorizations;
-    summary_.sparse_symbolic_analyses +=
-        record.solver.sparse_symbolic_analyses;
-    summary_.sparse_static_pivot_hits +=
-        record.solver.sparse_static_pivot_hits;
-    summary_.sparse_pivot_fallbacks += record.solver.sparse_pivot_fallbacks;
-    summary_.sparse_ordering_us += record.solver.sparse_ordering_us;
-    summary_.batched_evals += record.solver.batched_evals;
-    summary_.hier_promotions += record.solver.hier_promotions;
-    summary_.hier_demotions += record.solver.hier_demotions;
-    summary_.hier_relinearizations += record.solver.hier_relinearizations;
-    summary_.hier_guard_retries += record.solver.hier_guard_retries;
-    summary_.deadline_polls += record.solver.deadline_polls;
-    summary_.cancelled_solves += record.solver.cancelled_solves;
-    summary_.sparse_pattern_nnz =
-        std::max(summary_.sparse_pattern_nnz, record.solver.sparse_pattern_nnz);
-    summary_.sparse_lu_nnz =
-        std::max(summary_.sparse_lu_nnz, record.solver.sparse_lu_nnz);
-    summary_.hier_active_unknowns = std::max(
-        summary_.hier_active_unknowns, record.solver.hier_active_unknowns);
+    summary_.solver += record.solver;
 
     if (!journal_.is_open())
         return;
@@ -125,50 +109,9 @@ void Telemetry::record(const TaskRecord& record) {
     if (!record.watchdog.empty())
         line.set("watchdog", record.watchdog);
     line.set("wall_s", record.wall_s);
-    line.set("nr_iterations", record.solver.nr_iterations);
-    line.set("dc_solves", record.solver.dc_solves);
-    line.set("transient_steps", record.solver.transient_steps);
-    line.set("transient_solves", record.solver.transient_solves);
-    line.set("assemblies", record.solver.assemblies);
-    line.set("lu_factorizations", record.solver.lu_factorizations);
-    line.set("line_search_backtracks",
-             record.solver.line_search_backtracks);
-    // Cancellation fields only appear when the task's context was
-    // deadline-armed or cancellable, so ordinary journals keep their shape.
-    if (record.solver.deadline_polls > 0)
-        line.set("deadline_polls", record.solver.deadline_polls);
-    if (record.solver.cancelled_solves > 0)
-        line.set("cancelled_solves", record.solver.cancelled_solves);
-    // Sparse-kernel fields only appear when the task did sparse work, so
-    // dense-only journals keep their historical shape.
-    if (record.solver.sparse_refactorizations > 0 ||
-        record.solver.sparse_symbolic_analyses > 0) {
-        line.set("sparse_refactorizations",
-                 record.solver.sparse_refactorizations);
-        line.set("sparse_symbolic_analyses",
-                 record.solver.sparse_symbolic_analyses);
-        line.set("sparse_pattern_nnz", record.solver.sparse_pattern_nnz);
-        line.set("sparse_lu_nnz", record.solver.sparse_lu_nnz);
-        line.set("sparse_static_pivot_hits",
-                 record.solver.sparse_static_pivot_hits);
-        line.set("sparse_pivot_fallbacks",
-                 record.solver.sparse_pivot_fallbacks);
-        line.set("sparse_ordering_us", record.solver.sparse_ordering_us);
-    }
-    if (record.solver.batched_evals > 0)
-        line.set("batched_evals", record.solver.batched_evals);
-    // Mixed-level engine fields likewise appear only when the task actually
-    // ran the engine, so flat-only journals keep their historical shape.
-    if (record.solver.hier_promotions > 0 ||
-        record.solver.hier_demotions > 0 ||
-        record.solver.hier_relinearizations > 0) {
-        line.set("hier_promotions", record.solver.hier_promotions);
-        line.set("hier_demotions", record.solver.hier_demotions);
-        line.set("hier_relinearizations",
-                 record.solver.hier_relinearizations);
-        line.set("hier_guard_retries", record.solver.hier_guard_retries);
-        line.set("hier_active_unknowns", record.solver.hier_active_unknowns);
-    }
+    for (const spice::StatField& f : spice::kSolverStatsFields)
+        if (reported(f, record.solver))
+            line.set(f.name, record.solver.*f.member);
     // Published metrics appear only for tasks that opted in, so ordinary
     // journals keep their shape.
     if (!record.metrics.empty())
@@ -192,48 +135,11 @@ RunSummary Telemetry::finish(double total_wall_s) {
         bench.set("cancelled", summary_.cancelled);
         bench.set("degraded", summary_.degraded());
         bench.set("wall_s", summary_.wall_s);
-        bench.set("nr_iterations", summary_.nr_iterations);
-        bench.set("dc_solves", summary_.dc_solves);
-        bench.set("transient_steps", summary_.transient_steps);
-        bench.set("transient_solves", summary_.transient_solves);
-        bench.set("assemblies", summary_.assemblies);
-        bench.set("lu_factorizations", summary_.lu_factorizations);
-        bench.set("line_search_backtracks",
-                  summary_.line_search_backtracks);
-        bench.set("sparse_refactorizations",
-                  summary_.sparse_refactorizations);
-        bench.set("sparse_symbolic_analyses",
-                  summary_.sparse_symbolic_analyses);
-        bench.set("sparse_pattern_nnz", summary_.sparse_pattern_nnz);
-        bench.set("sparse_lu_nnz", summary_.sparse_lu_nnz);
-        // Sparse fast-path counters appear only when some task did sparse
-        // work, so the BENCH schema of dense-only runs is unchanged.
-        if (summary_.sparse_refactorizations > 0 ||
-            summary_.sparse_symbolic_analyses > 0) {
-            bench.set("sparse_static_pivot_hits",
-                      summary_.sparse_static_pivot_hits);
-            bench.set("sparse_pivot_fallbacks",
-                      summary_.sparse_pivot_fallbacks);
-            bench.set("sparse_ordering_us", summary_.sparse_ordering_us);
-        }
-        if (summary_.batched_evals > 0)
-            bench.set("batched_evals", summary_.batched_evals);
-        // Emitted only when some context was deadline-armed/cancellable.
-        if (summary_.deadline_polls > 0)
-            bench.set("deadline_polls", summary_.deadline_polls);
-        if (summary_.cancelled_solves > 0)
-            bench.set("cancelled_solves", summary_.cancelled_solves);
-        // Emitted only when some task ran the mixed-level engine, so the
-        // BENCH schema of flat-only runs is unchanged.
-        if (summary_.hier_promotions > 0 || summary_.hier_demotions > 0 ||
-            summary_.hier_relinearizations > 0) {
-            bench.set("hier_promotions", summary_.hier_promotions);
-            bench.set("hier_demotions", summary_.hier_demotions);
-            bench.set("hier_relinearizations",
-                      summary_.hier_relinearizations);
-            bench.set("hier_guard_retries", summary_.hier_guard_retries);
-            bench.set("hier_active_unknowns", summary_.hier_active_unknowns);
-        }
+        // Unlike the journal, BENCH always prints the sparse totals.
+        for (const spice::StatField& f : spice::kSolverStatsFields)
+            if (reported(f, summary_.solver) ||
+                f.group == spice::StatGroup::kSparse)
+                bench.set(f.name, summary_.solver.*f.member);
         if (!task_walls_.empty()) {
             // Per-workload walls, so CI can gate one workload (e.g. the
             // array64x64 microbench task) against a checked-in baseline
@@ -302,8 +208,8 @@ std::string Telemetry::render(const RunSummary& summary,
                    std::to_string(summary.pruned),
                    std::to_string(summary.failed),
                    std::to_string(summary.quarantined),
-                   std::to_string(summary.nr_iterations),
-                   std::to_string(summary.dc_solves),
+                   std::to_string(summary.solver.nr_iterations),
+                   std::to_string(summary.solver.dc_solves),
                    format_si(summary.wall_s, "s")});
     std::string rendered = table.render();
     if (summary.degraded())

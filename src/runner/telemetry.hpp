@@ -4,7 +4,6 @@
 // the console table and a machine-readable BENCH_<run>.json artifact so
 // successive commits can be compared on cache efficiency and Newton cost.
 
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -67,40 +66,9 @@ struct RunSummary {
     std::size_t quarantined = 0;
     std::size_t cancelled = 0;
     double wall_s = 0.0;
-    std::uint64_t nr_iterations = 0;
-    std::uint64_t dc_solves = 0;
-    std::uint64_t transient_steps = 0;
-    std::uint64_t transient_solves = 0;
-    std::uint64_t assemblies = 0;
-    std::uint64_t lu_factorizations = 0;
-    std::uint64_t line_search_backtracks = 0;
-    std::uint64_t sparse_refactorizations = 0;
-    std::uint64_t sparse_symbolic_analyses = 0;
-    /// Sparse-kernel fast-path totals: refactors completed on the reused
-    /// pivot sequence, stricter-pivoting fallbacks, wall microseconds of
-    /// fill-reducing ordering, and transistor evaluations done through the
-    /// batched structure-of-arrays sweep (all 0 on dense-only runs).
-    std::uint64_t sparse_static_pivot_hits = 0;
-    std::uint64_t sparse_pivot_fallbacks = 0;
-    std::uint64_t sparse_ordering_us = 0;
-    std::uint64_t batched_evals = 0;
-    /// Mixed-level array engine totals (0 unless some task ran it).
-    std::uint64_t hier_promotions = 0;
-    std::uint64_t hier_demotions = 0;
-    std::uint64_t hier_relinearizations = 0;
-    std::uint64_t hier_guard_retries = 0;
-    /// Largest MNA pattern / L+U factor seen across the run's tasks —
-    /// maxima of per-task gauges, so a dense-only run reports 0.
-    std::uint64_t sparse_pattern_nnz = 0;
-    std::uint64_t sparse_lu_nnz = 0;
-    /// Largest active-partition size the mixed-level engine solved across
-    /// the run's tasks (gauge maximum; 0 when the engine never ran).
-    std::uint64_t hier_active_unknowns = 0;
-
-    /// Total cancellation checkpoints / cancelled solves across the run's
-    /// tasks (0 unless some context was deadline-armed or cancellable).
-    std::uint64_t deadline_polls = 0;
-    std::uint64_t cancelled_solves = 0;
+    /// The tasks' solver totals: counters summed, gauges at their largest
+    /// per-task value (so a dense-only run reports no sparse system size).
+    spice::SolverStats solver;
 
     /// A degraded run completed the graph but quarantined, failed, or
     /// cancelled some tasks — its figures carry placeholder points.

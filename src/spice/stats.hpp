@@ -1,9 +1,9 @@
 #pragma once
-// Per-thread solver instrumentation. The DC and transient engines bump
-// these counters on the thread doing the solving; the runner's telemetry
-// layer snapshots them around each task to report how much Newton work a
-// task actually cost (NR iterations per cache miss is the engine's primary
-// perf-trajectory metric).
+// Solver instrumentation. The DC and transient engines bump these counters
+// on the SimContext doing the solving (spice/context.hpp); the runner's
+// telemetry layer reports each task's context totals to show how much
+// Newton work a task actually cost (NR iterations per cache miss is the
+// engine's primary perf-trajectory metric).
 //
 // The fine-grained counters (assemblies, LU factorizations, line-search
 // backtracks) exist to pin the solver's perf contract: a healthy Newton
@@ -12,16 +12,20 @@
 // asserts these invariants and bench/microbench.cpp publishes them as the
 // BENCH_microbench.json trajectory (see docs/SOLVER.md).
 //
-// Counters live on a SimContext (spice/context.hpp): each context owns a
-// sink, the engines bump the context doing the solving, and a parent
-// aggregates its fan-out children with operator+= — which is how inner
-// Monte-Carlo pool work now attributes to the task that spawned it (see
-// docs/ARCHITECTURE.md). solver_stats() remains as the thread-ambient
-// view: it resolves to the context bound to this thread (else the
-// per-thread default), preserving the historical snapshot/subtract
-// metering idiom with no atomic traffic in the Newton hot loop.
+// Each context owns a sink, and a parent aggregates its fan-out children
+// with operator+=, which is how inner Monte-Carlo pool work attributes to
+// the task that spawned it (see docs/ARCHITECTURE.md). solver_stats() is
+// the thread-ambient view: it resolves to the context bound to this thread
+// (else the per-thread default), keeping the snapshot/subtract metering
+// idiom with no atomic traffic in the Newton hot loop.
+//
+// kSolverStatsFields below is the one list of the fields: the arithmetic,
+// the journal, the BENCH artifact and RunSummary are all driven by it.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace tfetsram::spice {
 
@@ -69,85 +73,141 @@ struct SolverStats {
 
     // Gauges (latest observed values, not monotonic counters): the MNA
     // pattern nnz and the L+U nnz of the most recent sparse symbolic
-    // analysis / refactorization on this thread.
+    // analysis / refactorization in this context.
     std::uint64_t sparse_pattern_nnz = 0;
     std::uint64_t sparse_lu_nnz = 0;
     /// Gauge: unknowns of the mixed-level engine's most recent active
     /// partition (0 when the engine never ran in the metered region).
     std::uint64_t hier_active_unknowns = 0;
 
-    /// Counter deltas for a metered region. Gauges carry their current
-    /// value through when the region did any sparse work, and 0 otherwise
-    /// (a dense-only region reports no sparse system size).
-    SolverStats operator-(const SolverStats& rhs) const {
-        SolverStats d;
-        d.nr_iterations = nr_iterations - rhs.nr_iterations;
-        d.dc_solves = dc_solves - rhs.dc_solves;
-        d.transient_steps = transient_steps - rhs.transient_steps;
-        d.transient_solves = transient_solves - rhs.transient_solves;
-        d.assemblies = assemblies - rhs.assemblies;
-        d.lu_factorizations = lu_factorizations - rhs.lu_factorizations;
-        d.line_search_backtracks =
-            line_search_backtracks - rhs.line_search_backtracks;
-        d.sparse_refactorizations =
-            sparse_refactorizations - rhs.sparse_refactorizations;
-        d.sparse_symbolic_analyses =
-            sparse_symbolic_analyses - rhs.sparse_symbolic_analyses;
-        d.sparse_static_pivot_hits =
-            sparse_static_pivot_hits - rhs.sparse_static_pivot_hits;
-        d.sparse_pivot_fallbacks =
-            sparse_pivot_fallbacks - rhs.sparse_pivot_fallbacks;
-        d.sparse_ordering_us = sparse_ordering_us - rhs.sparse_ordering_us;
-        d.batched_evals = batched_evals - rhs.batched_evals;
-        d.deadline_polls = deadline_polls - rhs.deadline_polls;
-        d.cancelled_solves = cancelled_solves - rhs.cancelled_solves;
-        d.hier_promotions = hier_promotions - rhs.hier_promotions;
-        d.hier_demotions = hier_demotions - rhs.hier_demotions;
-        d.hier_relinearizations =
-            hier_relinearizations - rhs.hier_relinearizations;
-        d.hier_guard_retries = hier_guard_retries - rhs.hier_guard_retries;
-        if (d.sparse_refactorizations > 0 || d.sparse_symbolic_analyses > 0) {
-            d.sparse_pattern_nnz = sparse_pattern_nnz;
-            d.sparse_lu_nnz = sparse_lu_nnz;
-        }
-        if (d.hier_promotions > 0 || d.hier_demotions > 0 ||
-            d.hier_relinearizations > 0)
-            d.hier_active_unknowns = hier_active_unknowns;
-        return d;
-    }
+    /// Counter deltas for a metered region. A gauge carries its current
+    /// value through when its group did work in the region, and 0
+    /// otherwise (a dense-only region reports no sparse system size).
+    SolverStats operator-(const SolverStats& rhs) const;
 
     /// Aggregate a child context's totals into a parent: counters add,
-    /// gauges keep the largest observed system (matching how RunSummary
-    /// folds per-task gauges).
-    SolverStats& operator+=(const SolverStats& rhs) {
-        nr_iterations += rhs.nr_iterations;
-        dc_solves += rhs.dc_solves;
-        transient_steps += rhs.transient_steps;
-        transient_solves += rhs.transient_solves;
-        assemblies += rhs.assemblies;
-        lu_factorizations += rhs.lu_factorizations;
-        line_search_backtracks += rhs.line_search_backtracks;
-        sparse_refactorizations += rhs.sparse_refactorizations;
-        sparse_symbolic_analyses += rhs.sparse_symbolic_analyses;
-        sparse_static_pivot_hits += rhs.sparse_static_pivot_hits;
-        sparse_pivot_fallbacks += rhs.sparse_pivot_fallbacks;
-        sparse_ordering_us += rhs.sparse_ordering_us;
-        batched_evals += rhs.batched_evals;
-        deadline_polls += rhs.deadline_polls;
-        cancelled_solves += rhs.cancelled_solves;
-        hier_promotions += rhs.hier_promotions;
-        hier_demotions += rhs.hier_demotions;
-        hier_relinearizations += rhs.hier_relinearizations;
-        hier_guard_retries += rhs.hier_guard_retries;
-        if (rhs.sparse_pattern_nnz > sparse_pattern_nnz)
-            sparse_pattern_nnz = rhs.sparse_pattern_nnz;
-        if (rhs.sparse_lu_nnz > sparse_lu_nnz)
-            sparse_lu_nnz = rhs.sparse_lu_nnz;
-        if (rhs.hier_active_unknowns > hier_active_unknowns)
-            hier_active_unknowns = rhs.hier_active_unknowns;
-        return *this;
-    }
+    /// gauges keep the largest observed system.
+    SolverStats& operator+=(const SolverStats& rhs);
 };
+
+// ------------------------------------------------------------ the schema
+
+enum class StatKind {
+    kCounter, ///< monotonic: windows subtract, children add
+    kGauge,   ///< latest observed size: children fold to the maximum
+};
+
+/// Which engine part a field reports on. The journal and BENCH artifact
+/// print a group only when it did work, so dense-only and flat-only runs
+/// keep their historical shape (runner/telemetry.cpp).
+enum class StatGroup {
+    kCore,           ///< Newton/transient/LU work: always reported
+    kNonzeroOnly,    ///< reported only when the field itself is nonzero
+    kSparse,         ///< sparse-kernel totals
+    kSparseFastPath, ///< refactor instrumentation; active with kSparse
+    kHier,           ///< mixed-level array engine
+};
+
+struct StatField {
+    const char* name; ///< journal/BENCH key, same as the member's name
+    std::uint64_t SolverStats::*member;
+    StatKind kind;
+    StatGroup group;
+};
+
+/// One descriptor per member, in journal key order.
+inline constexpr StatField kSolverStatsFields[] = {
+    {"nr_iterations", &SolverStats::nr_iterations, StatKind::kCounter,
+     StatGroup::kCore},
+    {"dc_solves", &SolverStats::dc_solves, StatKind::kCounter,
+     StatGroup::kCore},
+    {"transient_steps", &SolverStats::transient_steps, StatKind::kCounter,
+     StatGroup::kCore},
+    {"transient_solves", &SolverStats::transient_solves, StatKind::kCounter,
+     StatGroup::kCore},
+    {"assemblies", &SolverStats::assemblies, StatKind::kCounter,
+     StatGroup::kCore},
+    {"lu_factorizations", &SolverStats::lu_factorizations,
+     StatKind::kCounter, StatGroup::kCore},
+    {"line_search_backtracks", &SolverStats::line_search_backtracks,
+     StatKind::kCounter, StatGroup::kCore},
+    {"deadline_polls", &SolverStats::deadline_polls, StatKind::kCounter,
+     StatGroup::kNonzeroOnly},
+    {"cancelled_solves", &SolverStats::cancelled_solves, StatKind::kCounter,
+     StatGroup::kNonzeroOnly},
+    {"sparse_refactorizations", &SolverStats::sparse_refactorizations,
+     StatKind::kCounter, StatGroup::kSparse},
+    {"sparse_symbolic_analyses", &SolverStats::sparse_symbolic_analyses,
+     StatKind::kCounter, StatGroup::kSparse},
+    {"sparse_pattern_nnz", &SolverStats::sparse_pattern_nnz,
+     StatKind::kGauge, StatGroup::kSparse},
+    {"sparse_lu_nnz", &SolverStats::sparse_lu_nnz, StatKind::kGauge,
+     StatGroup::kSparse},
+    {"sparse_static_pivot_hits", &SolverStats::sparse_static_pivot_hits,
+     StatKind::kCounter, StatGroup::kSparseFastPath},
+    {"sparse_pivot_fallbacks", &SolverStats::sparse_pivot_fallbacks,
+     StatKind::kCounter, StatGroup::kSparseFastPath},
+    {"sparse_ordering_us", &SolverStats::sparse_ordering_us,
+     StatKind::kCounter, StatGroup::kSparseFastPath},
+    {"batched_evals", &SolverStats::batched_evals, StatKind::kCounter,
+     StatGroup::kNonzeroOnly},
+    {"hier_promotions", &SolverStats::hier_promotions, StatKind::kCounter,
+     StatGroup::kHier},
+    {"hier_demotions", &SolverStats::hier_demotions, StatKind::kCounter,
+     StatGroup::kHier},
+    {"hier_relinearizations", &SolverStats::hier_relinearizations,
+     StatKind::kCounter, StatGroup::kHier},
+    {"hier_guard_retries", &SolverStats::hier_guard_retries,
+     StatKind::kCounter, StatGroup::kHier},
+    {"hier_active_unknowns", &SolverStats::hier_active_unknowns,
+     StatKind::kGauge, StatGroup::kHier},
+};
+
+static_assert(sizeof(SolverStats) ==
+                  std::size(kSolverStatsFields) * sizeof(std::uint64_t),
+              "every SolverStats member needs a kSolverStatsFields entry");
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < std::size(kSolverStatsFields); ++i)
+            for (std::size_t j = 0; j < i; ++j)
+                if (kSolverStatsFields[i].member ==
+                    kSolverStatsFields[j].member)
+                    return false;
+        return true;
+    }(),
+    "a SolverStats member is listed twice in kSolverStatsFields");
+
+/// Whether `s` did work in `group`: some counter of the group is nonzero.
+/// The sparse fast path counts as active with the sparse kernel it
+/// instruments.
+constexpr bool did_work(const SolverStats& s, StatGroup group) {
+    if (group == StatGroup::kSparseFastPath)
+        group = StatGroup::kSparse;
+    for (const StatField& f : kSolverStatsFields)
+        if (f.group == group && f.kind == StatKind::kCounter &&
+            s.*f.member > 0)
+            return true;
+    return false;
+}
+
+inline SolverStats SolverStats::operator-(const SolverStats& rhs) const {
+    SolverStats d;
+    for (const StatField& f : kSolverStatsFields)
+        if (f.kind == StatKind::kCounter)
+            d.*f.member = this->*f.member - rhs.*f.member;
+    for (const StatField& f : kSolverStatsFields)
+        if (f.kind == StatKind::kGauge && did_work(d, f.group))
+            d.*f.member = this->*f.member;
+    return d;
+}
+
+inline SolverStats& SolverStats::operator+=(const SolverStats& rhs) {
+    for (const StatField& f : kSolverStatsFields)
+        this->*f.member = f.kind == StatKind::kCounter
+                              ? this->*f.member + rhs.*f.member
+                              : std::max(this->*f.member, rhs.*f.member);
+    return *this;
+}
 
 /// The ambient context's running counters (monotonically increasing;
 /// snapshot and subtract to meter a region on this thread). Equivalent to

@@ -253,7 +253,7 @@ TEST(ContextIsolation, ConcurrentTasksKeepConflictingPoliciesApart) {
     // Same physics on both kernels.
     EXPECT_NEAR(dense_seen.v_mid, sparse_seen.v_mid, 1e-9);
     // The run summary aggregates the per-task sinks.
-    EXPECT_EQ(summary.dc_solves, 14u);
+    EXPECT_EQ(summary.solver.dc_solves, 14u);
 }
 
 // ----------------------------------------- MC inner-pool stats attribution
@@ -301,7 +301,7 @@ TEST(ContextStats, JournalCoversInnerMonteCarloPoolWork) {
     };
     r.add(std::move(spec));
     const runner::RunSummary summary = r.run();
-    EXPECT_EQ(summary.nr_iterations, truth);
+    EXPECT_EQ(summary.solver.nr_iterations, truth);
 
     std::ifstream journal(cfg.out_dir / "mcstats_journal.jsonl");
     ASSERT_TRUE(journal.is_open());
@@ -315,6 +315,95 @@ TEST(ContextStats, JournalCoversInnerMonteCarloPoolWork) {
     const runner::Json* iters = record->find("nr_iterations");
     ASSERT_NE(iters, nullptr);
     EXPECT_EQ(static_cast<std::uint64_t>(iters->as_number()), truth);
+}
+
+// ------------------------------------------------ counter schema arithmetic
+
+using spice::kSolverStatsFields;
+using spice::SolverStats;
+using spice::StatField;
+using spice::StatKind;
+
+/// Every field set through the schema to a distinct value above `base`.
+SolverStats distinct_stats(std::uint64_t base) {
+    SolverStats s;
+    for (const StatField& f : kSolverStatsFields)
+        s.*f.member = ++base;
+    return s;
+}
+
+TEST(StatsSchema, CountersAddAndSubtractExactly) {
+    const SolverStats a = distinct_stats(100);
+    const SolverStats b = distinct_stats(1000);
+    SolverStats sum = a;
+    sum += b;
+    const SolverStats back = sum - b;
+    for (const StatField& f : kSolverStatsFields) {
+        if (f.kind != StatKind::kCounter)
+            continue;
+        EXPECT_EQ(sum.*f.member, a.*f.member + b.*f.member) << f.name;
+        EXPECT_EQ(back.*f.member, a.*f.member) << f.name;
+    }
+}
+
+TEST(StatsSchema, GaugesFoldToTheLargerValue) {
+    const SolverStats small = distinct_stats(100);
+    const SolverStats large = distinct_stats(1000);
+    SolverStats up = small;
+    up += large;
+    SolverStats down = large;
+    down += small;
+    for (const StatField& f : kSolverStatsFields) {
+        if (f.kind != StatKind::kGauge)
+            continue;
+        EXPECT_EQ(up.*f.member, large.*f.member) << f.name;
+        EXPECT_EQ(down.*f.member, large.*f.member) << f.name;
+    }
+}
+
+TEST(StatsSchema, SubtractionCarriesAGaugeOnlyWhenItsGroupDidWork) {
+    const SolverStats before = distinct_stats(100);
+    const SolverStats idle = before - before;
+    for (const StatField& g : kSolverStatsFields) {
+        if (g.kind == StatKind::kGauge) {
+            EXPECT_EQ(idle.*g.member, 0u) << g.name;
+        }
+    }
+
+    // A window in which exactly one counter moved carries precisely the
+    // gauges of that counter's group.
+    for (const StatField& c : kSolverStatsFields) {
+        if (c.kind != StatKind::kCounter)
+            continue;
+        SolverStats after = before;
+        ++(after.*c.member);
+        const SolverStats d = after - before;
+        EXPECT_EQ(d.*c.member, 1u) << c.name;
+        for (const StatField& g : kSolverStatsFields) {
+            if (g.kind != StatKind::kGauge)
+                continue;
+            const std::uint64_t want =
+                g.group == c.group ? after.*g.member : 0u;
+            EXPECT_EQ(d.*g.member, want) << c.name << " -> " << g.name;
+        }
+    }
+
+    // The historical rules, by name: sparse gauges ride a symbolic
+    // analysis or refactorization, the hier gauge rides an engine event,
+    // and neither rides dense or fast-path-only work.
+    SolverStats sparse = before;
+    ++sparse.sparse_symbolic_analyses;
+    EXPECT_EQ((sparse - before).sparse_lu_nnz, before.sparse_lu_nnz);
+    EXPECT_EQ((sparse - before).hier_active_unknowns, 0u);
+    SolverStats hier = before;
+    ++hier.hier_relinearizations;
+    EXPECT_EQ((hier - before).hier_active_unknowns,
+              before.hier_active_unknowns);
+    EXPECT_EQ((hier - before).sparse_pattern_nnz, 0u);
+    SolverStats fast_path = before;
+    ++fast_path.sparse_static_pivot_hits;
+    ++fast_path.nr_iterations;
+    EXPECT_EQ((fast_path - before).sparse_pattern_nnz, 0u);
 }
 
 } // namespace

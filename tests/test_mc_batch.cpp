@@ -62,17 +62,15 @@ void expect_identical_results(const McResult& a, const McResult& b) {
     EXPECT_EQ(a.summary.stddev, b.summary.stddev);
 }
 
-/// The counters the engines must agree on exactly (wall-clock gauges like
-/// ordering microseconds excluded by construction).
+/// Every schema field must agree exactly between the engines, except:
+///  * sparse_ordering_us — wall-clock microseconds, not a work count.
 void expect_identical_counters(const spice::SolverStats& a,
                                const spice::SolverStats& b) {
-    EXPECT_EQ(a.nr_iterations, b.nr_iterations);
-    EXPECT_EQ(a.dc_solves, b.dc_solves);
-    EXPECT_EQ(a.transient_steps, b.transient_steps);
-    EXPECT_EQ(a.transient_solves, b.transient_solves);
-    EXPECT_EQ(a.assemblies, b.assemblies);
-    EXPECT_EQ(a.lu_factorizations, b.lu_factorizations);
-    EXPECT_EQ(a.line_search_backtracks, b.line_search_backtracks);
+    for (const spice::StatField& f : spice::kSolverStatsFields) {
+        if (f.member == &spice::SolverStats::sparse_ordering_us)
+            continue;
+        EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
+    }
 }
 
 TEST(McBatch, DenseBitwiseIdenticalSerialLane) {
@@ -274,7 +272,8 @@ TEST(McBatch, RebuildEscapeHatchMatchesSerialBuildCounts) {
 /// Independent serial reference for the in-pool draw flow: every draw is
 /// prebuilt up front with sampler.sample(rng) — the pre-pool flow — and
 /// evaluated in index order under ctx.child(i), with the engines'
-/// fresh-cell retry and censoring policy and an index-ordered stats fold.
+/// sample-boundary cancellation checkpoint, fresh-cell retry and censoring
+/// policy, and an index-ordered stats fold.
 McResult prebuilt_serial_reference(const spice::SimContext& ctx,
                                    const sram::CellConfig& cfg,
                                    const TfetVariationSampler& sampler,
@@ -291,6 +290,7 @@ McResult prebuilt_serial_reference(const spice::SimContext& ctx,
     for (std::size_t i = 0; i < n; ++i) {
         spice::SimContext cctx = ctx.child(i);
         const spice::ScopedContext bind(cctx);
+        EXPECT_EQ(cctx.poll_cancellation(), spice::SolveErrorCode::kNone);
         double value = std::numeric_limits<double>::quiet_NaN();
         int attempts = 0;
         bool converged = false;

@@ -6,16 +6,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "hier/engine.hpp"
 #include "runner/json.hpp"
 #include "runner/runner.hpp"
+#include "spice/circuit.hpp"
+#include "spice/context.hpp"
+#include "spice/dc.hpp"
+#include "sram/cell.hpp"
+#include "sram/designs.hpp"
+#include "sram/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace tfetsram::runner {
@@ -444,6 +453,223 @@ TEST(Runner, CacheOffExecutesEverything) {
         EXPECT_EQ(summary.cache_hits, 0u);
     }
     EXPECT_FALSE(fs::exists(dir / "cache"));
+}
+
+// ------------------------------------------------- telemetry counter schema
+
+/// The solver keys a journal line may carry, in emission order, with the
+/// SolverStats member each reports. Written out here rather than taken
+/// from the library so a schema refactor that moves, renames or drops a
+/// key fails this contract.
+struct WireField {
+    const char* name;
+    std::uint64_t spice::SolverStats::*member;
+};
+constexpr WireField kWireFields[] = {
+    {"nr_iterations", &spice::SolverStats::nr_iterations},
+    {"dc_solves", &spice::SolverStats::dc_solves},
+    {"transient_steps", &spice::SolverStats::transient_steps},
+    {"transient_solves", &spice::SolverStats::transient_solves},
+    {"assemblies", &spice::SolverStats::assemblies},
+    {"lu_factorizations", &spice::SolverStats::lu_factorizations},
+    {"line_search_backtracks", &spice::SolverStats::line_search_backtracks},
+    {"deadline_polls", &spice::SolverStats::deadline_polls},
+    {"cancelled_solves", &spice::SolverStats::cancelled_solves},
+    {"sparse_refactorizations", &spice::SolverStats::sparse_refactorizations},
+    {"sparse_symbolic_analyses",
+     &spice::SolverStats::sparse_symbolic_analyses},
+    {"sparse_pattern_nnz", &spice::SolverStats::sparse_pattern_nnz},
+    {"sparse_lu_nnz", &spice::SolverStats::sparse_lu_nnz},
+    {"sparse_static_pivot_hits",
+     &spice::SolverStats::sparse_static_pivot_hits},
+    {"sparse_pivot_fallbacks", &spice::SolverStats::sparse_pivot_fallbacks},
+    {"sparse_ordering_us", &spice::SolverStats::sparse_ordering_us},
+    {"batched_evals", &spice::SolverStats::batched_evals},
+    {"hier_promotions", &spice::SolverStats::hier_promotions},
+    {"hier_demotions", &spice::SolverStats::hier_demotions},
+    {"hier_relinearizations", &spice::SolverStats::hier_relinearizations},
+    {"hier_guard_retries", &spice::SolverStats::hier_guard_retries},
+    {"hier_active_unknowns", &spice::SolverStats::hier_active_unknowns},
+};
+
+const WireField* wire_field(const std::string& name) {
+    for (const WireField& f : kWireFields)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
+bool is_gauge(const std::string& name) {
+    return name == "sparse_pattern_nnz" || name == "sparse_lu_nnz" ||
+           name == "hier_active_unknowns";
+}
+
+Json read_json_file(const fs::path& path) {
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::optional<Json> parsed = Json::parse(buf.str());
+    TFET_ASSERT(parsed.has_value());
+    return *parsed;
+}
+
+TEST(TelemetrySchema, JournalAndBenchReportEveryCounterOfEveryTask) {
+    // Four tasks that between them light up every group of the counter
+    // schema: a dense hold solve (core counters only, plus the polls every
+    // cancellable task context makes), the same solve pinned to the sparse
+    // kernel, a mixed-level array write (hier counters), and a task whose
+    // iteration budget expires (a cancelled solve).
+    RunnerConfig cfg = test_config("schema", 1);
+    std::map<std::string, spice::SolverStats> totals;
+    std::mutex totals_mutex;
+    const auto capture = [&](const std::string& id) {
+        std::lock_guard<std::mutex> lock(totals_mutex);
+        totals[id] = spice::ambient_context().stats();
+    };
+    const sram::CellConfig cell_cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const auto hold_task = [&](const std::string& id,
+                               spice::SolverMode mode) {
+        TaskSpec spec;
+        spec.id = id;
+        spec.fn = [&, id] {
+            sram::SramCell cell = sram::build_cell(cell_cfg);
+            const double p = sram::worst_hold_static_power(cell);
+            TFET_ASSERT(p > 0.0);
+            capture(id);
+            return TaskResult{};
+        };
+        spice::SimConfig sim;
+        sim.mode = mode;
+        spec.sim = sim;
+        return spec;
+    };
+
+    Runner r(cfg);
+    r.add(hold_task("hold_dense", spice::SolverMode::kDense));
+    r.add(hold_task("hold_sparse", spice::SolverMode::kSparse));
+    {
+        TaskSpec spec;
+        spec.id = "hier_write";
+        spec.fn = [&] {
+            array::ArrayConfig acfg;
+            acfg.rows = 4;
+            acfg.cols = 2;
+            acfg.cell = cell_cfg;
+            acfg.read_assist = sram::Assist::kRaGndLowering;
+            hier::ArrayEngine eng(acfg, hier::EngineMode::kMixed);
+            TFET_ASSERT(eng.initialize(std::vector<std::vector<bool>>(
+                4, std::vector<bool>(2, false))));
+            TFET_ASSERT(eng.write(2, 1, true).ok);
+            capture("hier_write");
+            return TaskResult{};
+        };
+        r.add(std::move(spec));
+    }
+    {
+        TaskSpec spec;
+        spec.id = "budget";
+        spec.fn = [&] {
+            spice::Circuit c;
+            const spice::NodeId in = c.add_node("in");
+            const spice::NodeId mid = c.add_node("mid");
+            c.add_vsource("V1", in, spice::kGround, spice::Waveform::dc(1.0));
+            c.add_resistor("R1", in, mid, 1e3);
+            c.add_resistor("R2", mid, spice::kGround, 1e3);
+            const spice::SimContext& ctx = spice::ambient_context();
+            TFET_ASSERT(spice::solve_dc(c, ctx).converged);
+            TFET_ASSERT(!spice::solve_dc(c, ctx).converged); // budget spent
+            capture("budget");
+            return TaskResult{};
+        };
+        spice::SimConfig sim;
+        sim.iteration_budget = 1;
+        spec.sim = sim;
+        r.add(std::move(spec));
+    }
+    const RunSummary summary = r.run();
+    ASSERT_EQ(summary.executed, 4u);
+    ASSERT_EQ(totals.size(), 4u);
+
+    // Exact key sequence per journal line: the dense-only shape omits the
+    // sparse and hier groups; batched_evals and cancelled_solves appear
+    // only where the task evaluated devices or had a solve cancelled.
+    const std::vector<std::string> core = {
+        "task", "key", "cache", "wall_s", "nr_iterations", "dc_solves",
+        "transient_steps", "transient_solves", "assemblies",
+        "lu_factorizations", "line_search_backtracks", "deadline_polls"};
+    const std::vector<std::string> sparse = {
+        "sparse_refactorizations", "sparse_symbolic_analyses",
+        "sparse_pattern_nnz",      "sparse_lu_nnz",
+        "sparse_static_pivot_hits", "sparse_pivot_fallbacks",
+        "sparse_ordering_us"};
+    const std::vector<std::string> hier = {
+        "hier_promotions", "hier_demotions", "hier_relinearizations",
+        "hier_guard_retries", "hier_active_unknowns"};
+    const auto concat = [](std::vector<std::string> a,
+                           const std::vector<std::string>& b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
+    std::map<std::string, std::vector<std::string>> expected_keys;
+    expected_keys["hold_dense"] = concat(core, {"batched_evals"});
+    expected_keys["hold_sparse"] =
+        concat(concat(core, sparse), {"batched_evals"});
+    expected_keys["hier_write"] =
+        concat(concat(core, {"batched_evals"}), hier);
+    expected_keys["budget"] = concat(core, {"cancelled_solves"});
+
+    std::ifstream journal(cfg.out_dir / "schema_journal.jsonl");
+    ASSERT_TRUE(journal.is_open());
+    std::set<std::string> seen;
+    std::string line;
+    while (std::getline(journal, line)) {
+        const std::optional<Json> record = Json::parse(line);
+        ASSERT_TRUE(record.has_value()) << line;
+        const std::string id = record->find("task")->as_string();
+        ASSERT_TRUE(totals.count(id)) << line;
+        seen.insert(id);
+        std::vector<std::string> keys;
+        for (const auto& [key, value] : record->members())
+            keys.push_back(key);
+        EXPECT_EQ(keys, expected_keys[id]) << line;
+        // Every reported counter is the task's own context total, and
+        // every counter left out of the line is zero.
+        const spice::SolverStats& want = totals[id];
+        for (const WireField& f : kWireFields) {
+            const Json* got = record->find(f.name);
+            if (got == nullptr) {
+                EXPECT_EQ(want.*f.member, 0u) << id << " " << f.name;
+                continue;
+            }
+            EXPECT_EQ(static_cast<std::uint64_t>(got->as_number()),
+                      want.*f.member)
+                << id << " " << f.name;
+        }
+    }
+    EXPECT_EQ(seen.size(), 4u);
+
+    // BENCH: the run totals as a key->value map (its key order is not part
+    // of the contract): counters sum over the records, gauges take their
+    // maximum. With every group active, all schema keys are present.
+    std::map<std::string, std::uint64_t> want_bench;
+    for (const WireField& f : kWireFields) {
+        std::uint64_t v = 0;
+        for (const auto& [id, t] : totals)
+            v = is_gauge(f.name) ? std::max(v, t.*f.member)
+                                 : v + t.*f.member;
+        want_bench[f.name] = v;
+    }
+    const Json bench = read_json_file(cfg.out_dir / "BENCH_schema.json");
+    std::map<std::string, std::uint64_t> got_bench;
+    for (const auto& [key, value] : bench.members())
+        if (wire_field(key) != nullptr)
+            got_bench[key] = static_cast<std::uint64_t>(value.as_number());
+    EXPECT_EQ(got_bench, want_bench);
+
+    // RunSummary carries the same totals the BENCH artifact printed.
+    for (const WireField& f : kWireFields)
+        EXPECT_EQ(summary.solver.*f.member, want_bench[f.name]) << f.name;
 }
 
 } // namespace
