@@ -5,7 +5,9 @@
 # the solver microbenchmark (cache off, so every counter in the log is a
 # fresh measurement — docs/SOLVER.md), a cell-zoo job qualifying every
 # registered cell spec through signoff and the corner-sweep bench
-# (docs/CELLZOO.md), an ASan+UBSan build running the
+# (docs/CELLZOO.md), short traced perfbench runs of the two WLcrit
+# workloads checked for correctness, counter repeatability and predicted
+# zeros (perfbench/README.md), an ASan+UBSan build running the
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
 # pivoting are exactly the code sanitizers exist for) plus the netlist
 # parser suite and the runner suite (journal and BENCH emission build JSON
@@ -147,13 +149,37 @@ grep -q '"quarantined":0' "$ZOO_OUT"/BENCH_cell_zoo.json
 grep -q 'bench:' "$ZOO_OUT"/cell_zoo_journal.jsonl
 echo "cell-zoo signoff and bench artifacts verified"
 
+echo "=== perfbench: traced smoke runs of the WLcrit workloads ==="
+# Short --trace 1 runs of the repository benchmark (perfbench/README.md).
+# Each must be correct (every simulated output equals perfbench/reference),
+# repeat its counters exactly when an episode runs again, and keep every
+# zero perfbench/predictions.json predicts. array_column joins once its
+# counters stop depending on the on-disk result cache (ROADMAP item 1).
+for workload in mc_variation assist_sweep; do
+  PB_OUT="build/ci_perfbench_${workload}"
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+      --trace 1 >"$PB_OUT.json" 2>"$PB_OUT.log" ||
+    grep -q 'predicted 0 but measured' "$PB_OUT.log" ||
+    ! python3 -c '
+import json, sys
+rec = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+ok = rec["correct"] and rec["metrics"]["trace.counter_mismatches"]["value"] == 0
+sys.exit(0 if ok else 1)' "$PB_OUT.json"; then
+    echo "perfbench $workload: failed, not correct, counters differ between" \
+      "reruns, or a predicted zero broke" >&2
+    cat "$PB_OUT.log" >&2
+    exit 1
+  fi
+  echo "perfbench $workload: correct, counters repeat, predicted zeros hold"
+done
+
 if [[ "$SKIP_ASAN" == "1" ]]; then
   echo "=== asan job skipped ==="
 else
   echo "=== build (Address+UndefinedBehaviorSanitizer) ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTFETSRAM_SANITIZE=address,undefined
-  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner
+  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume
 
   echo "=== asan+ubsan: linear-kernel and differential suites ==="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -179,6 +205,10 @@ else
   # JSON strings; the schema contract test drives every counter group.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_runner
+  # Transient tapes restore device state from a flat buffer by pointer
+  # and copy trajectory prefixes; the resume differential runs both ways.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_transient_resume
 fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then

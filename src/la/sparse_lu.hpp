@@ -173,17 +173,12 @@ private:
     mutable std::vector<double> work_y_;  ///< solve scratch
 };
 
-/// Fill-reducing elimination order: greedy minimum degree on the
-/// symmetrized pattern of `a`. O(n²)-per-pick reference implementation,
-/// kept as the quality baseline the AMD ordering is tested against.
-std::vector<std::size_t> minimum_degree_order(const SparseMatrix& a);
-
 /// Approximate minimum degree ordering on the symmetrized pattern of `a`:
 /// quotient-graph elimination with element absorption and bucketed degree
 /// lists (Amestoy/Davis/Duff style, without supervariable compression).
-/// Near-linear on the grid-like MNA patterns SRAM arrays produce, where
-/// the greedy scan above is quadratic. Deterministic: every decision is
-/// index-based, so the order is identical across platforms.
+/// Near-linear on the grid-like MNA patterns SRAM arrays produce, where a
+/// greedy minimum-degree scan is quadratic. Deterministic: every decision
+/// is index-based, so the order is identical across platforms.
 std::vector<std::size_t> amd_order(const SparseMatrix& a);
 
 } // namespace tfetsram::la

@@ -18,6 +18,8 @@ class SparseMatrix;
 
 namespace tfetsram::spice {
 
+class Waveform;
+
 /// Which analysis the engine is running; transient adds companion models
 /// for charge-storage elements.
 enum class AnalysisMode { kDc, kTransient };
@@ -154,6 +156,18 @@ public:
     /// Called when a transient step is accepted; commit dynamic state.
     virtual void accept_step(const AnalysisState& /*as*/,
                              const la::Vector& /*x*/) {}
+
+    /// The companion state begin_transient/accept_step last committed:
+    /// save_state appends it to `out`, restore_state reads the same values
+    /// back from `in` and returns the position after them. Devices without
+    /// dynamic state save nothing. A TransientTape uses the pair to resume
+    /// a run from a recorded step.
+    virtual void save_state(std::vector<double>& /*out*/) const {}
+    virtual const double* restore_state(const double* in) { return in; }
+
+    /// The waveform that makes this device time-dependent (a source's
+    /// stimulus, a switch's control), or null when it has none.
+    [[nodiscard]] virtual const Waveform* stimulus() const { return nullptr; }
 
     /// Power dissipated by this device at the given solution (DC sense;
     /// negative means the device delivers power, e.g. a source).

@@ -71,6 +71,17 @@ void Capacitor::accept_step(const AnalysisState& as, const la::Vector& x) {
     v_prev_ = v_new;
 }
 
+void Capacitor::save_state(std::vector<double>& out) const {
+    out.push_back(v_prev_);
+    out.push_back(i_prev_);
+}
+
+const double* Capacitor::restore_state(const double* in) {
+    v_prev_ = in[0];
+    i_prev_ = in[1];
+    return in + 2;
+}
+
 double Capacitor::power(const la::Vector& /*x*/) const {
     return 0.0; // lossless; no DC dissipation
 }

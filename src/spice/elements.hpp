@@ -34,6 +34,8 @@ public:
                const la::Vector& x) override;
     void begin_transient(const la::Vector& x0) override;
     void accept_step(const AnalysisState& as, const la::Vector& x) override;
+    void save_state(std::vector<double>& out) const override;
+    const double* restore_state(const double* in) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
 
     [[nodiscard]] double capacitance() const { return farads_; }
@@ -55,6 +57,7 @@ public:
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
     [[nodiscard]] bool is_source() const override { return true; }
+    [[nodiscard]] const Waveform* stimulus() const override { return &wave_; }
 
     /// Replace the stimulus (e.g. to program an SRAM operation).
     void set_waveform(Waveform wave) { wave_ = std::move(wave); }
@@ -88,6 +91,7 @@ public:
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
     [[nodiscard]] bool is_source() const override { return true; }
+    [[nodiscard]] const Waveform* stimulus() const override { return &wave_; }
 
     void set_waveform(Waveform wave) { wave_ = std::move(wave); }
     [[nodiscard]] const Waveform& waveform() const { return wave_; }
@@ -149,6 +153,9 @@ public:
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
+    [[nodiscard]] const Waveform* stimulus() const override {
+        return &control_;
+    }
 
     void set_control(Waveform control) { control_ = std::move(control); }
 

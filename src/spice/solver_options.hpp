@@ -24,6 +24,9 @@ struct SolverOptions {
     double lte_abstol = 5e-5;  ///< local-truncation-error absolute tol [V]
     Integrator integrator = Integrator::kTrapezoidal;
     std::size_t max_steps = 4'000'000; ///< runaway guard
+
+    friend bool operator==(const SolverOptions&,
+                           const SolverOptions&) = default;
 };
 
 } // namespace tfetsram::spice

@@ -34,6 +34,9 @@ struct SolverStats {
     std::uint64_t dc_solves = 0;       ///< solve_dc calls
     std::uint64_t transient_steps = 0; ///< accepted transient time steps
     std::uint64_t transient_solves = 0; ///< solve_transient calls
+    /// Accepted steps a resumed transient copied from its tape instead of
+    /// integrating (spice/transient.hpp, TransientTape).
+    std::uint64_t transient_steps_replayed = 0;
     std::uint64_t assemblies = 0;       ///< full MNA system assemblies
     std::uint64_t lu_factorizations = 0; ///< Jacobian factorizations (any kernel)
     std::uint64_t line_search_backtracks = 0; ///< rejected damped steps
@@ -135,6 +138,8 @@ inline constexpr StatField kSolverStatsFields[] = {
      StatGroup::kNonzeroOnly},
     {"cancelled_solves", &SolverStats::cancelled_solves, StatKind::kCounter,
      StatGroup::kNonzeroOnly},
+    {"transient_steps_replayed", &SolverStats::transient_steps_replayed,
+     StatKind::kCounter, StatGroup::kNonzeroOnly},
     {"sparse_refactorizations", &SolverStats::sparse_refactorizations,
      StatKind::kCounter, StatGroup::kSparse},
     {"sparse_symbolic_analyses", &SolverStats::sparse_symbolic_analyses,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 #include "spice/dc.hpp"
@@ -104,7 +105,7 @@ double TransientResult::first_crossing_below(NodeId a, NodeId b,
     return std::numeric_limits<double>::quiet_NaN();
 }
 
-// ----------------------------------------------------------- transient run
+// ------------------------------------------------------- stepper helpers
 
 namespace {
 
@@ -130,229 +131,394 @@ double lte_ratio(const la::Vector& x, const la::Vector& x_pred,
 
 } // namespace
 
-TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
-                                double t_end, const StopCondition& stop,
-                                const la::Vector* dc_guess) {
-    TFET_EXPECTS(t_end > 0.0);
-    const ScopedContext bind(ctx);
-    const SolverOptions& opts = ctx.options();
-    ++ctx.stats().transient_solves;
-    TransientResult result;
+// ---------------------------------------------------------- TransientTape
 
-    // Operating point at t = 0.
-    DcResult dc = solve_dc(circuit, ctx, 0.0, dc_guess);
-    if (!dc.converged) {
-        result.message = "transient: t=0 operating point did not converge";
-        result.time_reached = 0.0;
-        if (dc.error.has_value()) {
-            result.error = std::move(dc.error);
-        } else {
-            SolveError err;
-            err.code = SolveErrorCode::kNonConvergence;
-            err.message = result.message;
-            result.error = std::move(err);
-        }
-        return result;
+double TransientTape::proposal_end(std::size_t k) const {
+    TFET_EXPECTS(k < steps_.size());
+    return steps_[k].proposal_end;
+}
+
+std::size_t TransientTape::resume_point(const Circuit& circuit,
+                                        const SolverOptions& opts,
+                                        double t_end,
+                                        const la::Vector* dc_guess) const {
+    const auto& devices = circuit.devices();
+    const bool same_guess =
+        dc_guess == nullptr
+            ? !dc_guess_.has_value()
+            : dc_guess_.has_value() && dc_guess_->size() == dc_guess->size() &&
+                  std::memcmp(dc_guess->data(), dc_guess_->data(),
+                              dc_guess->size() * sizeof(double)) == 0;
+    if (steps_.empty() || circuit_ != &circuit ||
+        topology_revision_ != circuit.topology_revision() ||
+        !(options_ == opts) || !same_guess ||
+        devices.size() != stimuli_.size())
+        return kNoResume;
+
+    // b: the earliest time at which the two runs' stimuli differ. t_end is
+    // a breakpoint of the run, so a different t_end diverges there.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double b = t_end == t_end_ ? kInf : std::min(t_end, t_end_);
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const Waveform* now = devices[i]->stimulus();
+        if ((now != nullptr) != stimuli_[i].has_value())
+            return kNoResume;
+        if (now != nullptr)
+            b = std::min(b, stimuli_[i]->shared_until(*now));
     }
-    for (const auto& dev : circuit.devices())
-        dev->begin_transient(dc.x);
-    result.append(0.0, dc.x);
 
-    const std::size_t n_node_unknowns = circuit.num_nodes() - 1;
+    // Every Newton solve of a step happens at or before that step's first
+    // proposed end time, so a step whose proposals (and its predecessors')
+    // all ended before b saw only shared stimulus: it is bitwise the new
+    // run's step. proposal_end is nondecreasing.
+    const double limit = b == kInf ? kInf : b - time_tol(b);
+    const auto valid = std::partition_point(
+        steps_.begin(), steps_.end(),
+        [limit](const Step& s) { return s.proposal_end < limit; });
+    if (valid == steps_.begin())
+        return kNoResume;
+    return static_cast<std::size_t>(valid - steps_.begin()) - 1;
+}
 
-    std::vector<double> breakpoints = circuit.source_breakpoints();
-    breakpoints.push_back(t_end);
-    std::size_t next_bp = 0;
+// ----------------------------------------------------------- transient run
 
-    double t = 0.0;
-    double dt = opts.dt_initial;
-    la::Vector x = dc.x;       // accepted state at t
-    la::Vector x_prev = dc.x;  // accepted state one step earlier
-    double dt_prev = 0.0;
-    bool history_valid = false; // can we form the LTE predictor?
-    bool force_be = true;       // backward Euler on first step / post-break
+/// One solve_transient call: the stepper state, how the run starts (the
+/// t = 0 operating point or a tape's recorded step), and the stepping loop.
+class TransientRun {
+public:
+    TransientRun(Circuit& circuit, const SimContext& ctx, double t_end,
+                 const StopCondition& stop, const la::Vector* dc_guess,
+                 TransientTape* tape)
+        : circuit_(circuit), ctx_(ctx), opts_(ctx.options()), t_end_(t_end),
+          stop_(stop), dc_guess_(dc_guess),
+          record_(tape != nullptr && tape->empty() ? tape : nullptr),
+          resume_(tape != nullptr && !tape->empty() ? tape : nullptr) {}
 
-    AnalysisState as;
-    as.mode = AnalysisMode::kTransient;
-    as.integrator = opts.integrator;
+    TransientResult run() {
+        ++ctx_.stats().transient_solves;
+        if (!resume() && !start_at_operating_point())
+            return std::move(result_);
+        if (!result_.completed)
+            step_to_end();
+        if (record_ != nullptr)
+            record_->trajectory_ = result_;
+        return std::move(result_);
+    }
 
-    for (std::size_t step = 0; step < opts.max_steps; ++step) {
-        result.time_reached = t;
-        if (t >= t_end - time_tol(t_end)) {
-            result.completed = true;
-            return result;
-        }
-        // Cancellation checkpoint: one poll per transient step. Expiry is
-        // graceful — everything integrated so far stays in the result
-        // (states, time_reached), the error records where the run stopped.
-        {
-            const SolveErrorCode status = ctx.poll_cancellation();
-            if (status != SolveErrorCode::kNone) {
-                ++ctx.stats().cancelled_solves;
-                char buf[160];
-                std::snprintf(buf, sizeof(buf),
-                              "transient: %s at t=%.6e s (%.1f%% of t_end), "
-                              "partial waveform preserved",
-                              status == SolveErrorCode::kCancelled
-                                  ? "cancelled"
-                                  : "deadline expired",
-                              t, 100.0 * t / t_end);
-                result.message = buf;
+private:
+    /// Solve the t = 0 operating point and start stepping from it. False
+    /// (with the failure in result_) when it does not converge.
+    bool start_at_operating_point() {
+        DcResult dc = solve_dc(circuit_, ctx_, 0.0, dc_guess_);
+        if (!dc.converged) {
+            result_.message = "transient: t=0 operating point did not converge";
+            result_.time_reached = 0.0;
+            if (dc.error.has_value()) {
+                result_.error = std::move(dc.error);
+            } else {
                 SolveError err;
-                err.code = status;
-                err.message = buf;
-                err.time = t;
-                err.last_iterate = x; // last accepted state
-                result.error = std::move(err);
-                return result;
+                err.code = SolveErrorCode::kNonConvergence;
+                err.message = result_.message;
+                result_.error = std::move(err);
+            }
+            record_ = nullptr; // nothing to record: the tape stays empty
+            return false;
+        }
+        for (const auto& dev : circuit_.devices())
+            dev->begin_transient(dc.x);
+        result_.append(0.0, dc.x);
+        dt_ = opts_.dt_initial;
+        x_ = dc.x;
+        x_prev_ = std::move(dc.x);
+        if (record_ != nullptr) {
+            TransientTape& tape = *record_;
+            tape.circuit_ = &circuit_;
+            tape.topology_revision_ = circuit_.topology_revision();
+            tape.options_ = opts_;
+            tape.t_end_ = t_end_;
+            if (dc_guess_ != nullptr)
+                tape.dc_guess_ = *dc_guess_;
+            for (const auto& dev : circuit_.devices()) {
+                const Waveform* w = dev->stimulus();
+                tape.stimuli_.push_back(w != nullptr
+                                            ? std::optional<Waveform>(*w)
+                                            : std::nullopt);
+            }
+            record_step(0);
+            tape.stride_ = tape.device_states_.size();
+        }
+        return true;
+    }
+
+    /// Continue from the resume tape's latest step valid for this run:
+    /// copy the recorded prefix, replay `stop` over it, and restore the
+    /// stepper and device state. False when the tape resumes nothing.
+    bool resume() {
+        if (resume_ == nullptr)
+            return false;
+        const TransientTape& tape = *resume_;
+        const std::size_t k =
+            tape.resume_point(circuit_, opts_, t_end_, dc_guess_);
+        if (k == TransientTape::kNoResume)
+            return false;
+        const TransientResult& rec = tape.trajectory_;
+        // A full run evaluates `stop` after each accepted step, so an
+        // early stop inside the prefix ends the run there.
+        std::size_t last = k;
+        if (stop_) {
+            for (std::size_t j = 1; j <= k; ++j) {
+                if (stop_(rec.time_[j], rec.states_[j])) {
+                    last = j;
+                    result_.completed = true;
+                    result_.stopped_early = true;
+                    break;
+                }
             }
         }
-        // Advance past consumed breakpoints; land on the next one.
-        while (next_bp < breakpoints.size() &&
-               breakpoints[next_bp] <= t + time_tol(t))
-            ++next_bp;
-        if (next_bp < breakpoints.size())
-            dt = std::min(dt, breakpoints[next_bp] - t);
-        dt = std::min(dt, t_end - t);
-        dt = std::min(dt, opts.dt_max);
+        const auto n = static_cast<std::ptrdiff_t>(last + 1);
+        result_.time_.assign(rec.time_.begin(), rec.time_.begin() + n);
+        result_.states_.assign(rec.states_.begin(), rec.states_.begin() + n);
+        result_.time_reached = rec.time_[last];
+        ctx_.stats().transient_steps_replayed += last;
+        if (result_.completed)
+            return true;
 
-        // Newton solve for the candidate step, shrinking dt on failure.
-        la::Vector x_new;
-        bool solved = false;
-        for (int attempt = 0; attempt < 40; ++attempt) {
-            as.time = t + dt;
-            as.dt = dt;
-            // After two failed attempts, drop this step to backward Euler:
-            // L-stable and independent of the trapezoidal current history,
-            // which can turn hostile across sharp source edges.
-            as.first_transient_step = force_be || attempt >= 2;
-            x_new = x; // warm start from the current state
-            const int iters =
-                detail::newton_raphson(circuit, as, ctx, opts.gmin, x_new);
-            if (iters > 0) {
-                solved = true;
-                break;
+        const TransientTape::Step& s = tape.steps_[k];
+        t_ = rec.time_[k];
+        x_ = rec.states_[k];
+        x_prev_ = rec.states_[k == 0 ? 0 : k - 1];
+        dt_ = s.dt;
+        dt_prev_ = s.dt_prev;
+        history_valid_ = s.history_valid;
+        force_be_ = s.force_be;
+        step_ = s.iteration;
+        proposal_end_ = s.proposal_end;
+        const double* in = tape.device_states_.data() + k * tape.stride_;
+        for (const auto& dev : circuit_.devices())
+            in = dev->restore_state(in);
+        return true;
+    }
+
+    /// Append the state at the top of stepper iteration `iteration` to
+    /// the recording tape.
+    void record_step(std::size_t iteration) {
+        TransientTape& tape = *record_;
+        tape.steps_.push_back({dt_, dt_prev_, proposal_end_, iteration,
+                               history_valid_, force_be_});
+        for (const auto& dev : circuit_.devices())
+            dev->save_state(tape.device_states_);
+    }
+
+    /// Record a cancellation or failure at the current time and stop.
+    void fail(SolveErrorCode code, const std::string& message) {
+        result_.message = message;
+        SolveError err;
+        err.code = code;
+        err.message = message;
+        err.time = t_;
+        err.last_iterate = x_; // last accepted state
+        result_.error = std::move(err);
+    }
+
+    void step_to_end() {
+        const std::size_t n_node_unknowns = circuit_.num_nodes() - 1;
+
+        std::vector<double> breakpoints = circuit_.source_breakpoints();
+        breakpoints.push_back(t_end_);
+        std::size_t next_bp = 0;
+
+        AnalysisState as;
+        as.mode = AnalysisMode::kTransient;
+        as.integrator = opts_.integrator;
+
+        for (; step_ < opts_.max_steps; ++step_) {
+            result_.time_reached = t_;
+            if (t_ >= t_end_ - time_tol(t_end_)) {
+                result_.completed = true;
+                return;
             }
-            // A Newton failure caused by cancellation must not be "fixed"
-            // by shrinking dt — every retry would fail at its first poll.
+            // Cancellation checkpoint: one poll per transient step. Expiry
+            // is graceful — everything integrated so far stays in the
+            // result (states, time_reached), the error records where the
+            // run stopped.
             {
-                const SolveErrorCode status = ctx.cancellation_status();
+                const SolveErrorCode status = ctx_.poll_cancellation();
                 if (status != SolveErrorCode::kNone) {
-                    ++ctx.stats().cancelled_solves;
+                    ++ctx_.stats().cancelled_solves;
                     char buf[160];
                     std::snprintf(buf, sizeof(buf),
-                                  "transient: %s during Newton at t=%.6e s, "
-                                  "partial waveform preserved",
+                                  "transient: %s at t=%.6e s (%.1f%% of "
+                                  "t_end), partial waveform preserved",
                                   status == SolveErrorCode::kCancelled
                                       ? "cancelled"
                                       : "deadline expired",
-                                  t);
-                    result.message = buf;
-                    SolveError err;
-                    err.code = status;
-                    err.message = buf;
-                    err.time = t;
-                    err.last_iterate = x;
-                    result.error = std::move(err);
-                    return result;
+                                  t_, 100.0 * t_ / t_end_);
+                    fail(status, buf);
+                    return;
                 }
             }
-            dt *= 0.25;
-            if (dt < opts.dt_min) {
-                char buf[160];
-                std::snprintf(buf, sizeof(buf),
-                              "transient: Newton failed at t=%.6e s "
-                              "(%.1f%% of t_end) with dt below dt_min "
-                              "(step %zu)",
-                              t, 100.0 * t / t_end, step);
-                result.message = buf;
-                SolveError err;
-                err.code = SolveErrorCode::kDtUnderflow;
-                err.message = buf;
-                err.time = t;
-                err.last_iterate = x; // last accepted state
-                result.error = std::move(err);
-                return result;
+            // Advance past consumed breakpoints; land on the next one.
+            while (next_bp < breakpoints.size() &&
+                   breakpoints[next_bp] <= t_ + time_tol(t_))
+                ++next_bp;
+            if (next_bp < breakpoints.size())
+                dt_ = std::min(dt_, breakpoints[next_bp] - t_);
+            dt_ = std::min(dt_, t_end_ - t_);
+            dt_ = std::min(dt_, opts_.dt_max);
+            proposal_end_ = std::max(proposal_end_, t_ + dt_);
+
+            // Newton solve for the candidate step, shrinking dt on failure.
+            la::Vector x_new;
+            bool solved = false;
+            for (int attempt = 0; attempt < 40; ++attempt) {
+                as.time = t_ + dt_;
+                as.dt = dt_;
+                // After two failed attempts, drop this step to backward
+                // Euler: L-stable and independent of the trapezoidal
+                // current history, which can turn hostile across sharp
+                // source edges.
+                as.first_transient_step = force_be_ || attempt >= 2;
+                x_new = x_; // warm start from the current state
+                const int iters = detail::newton_raphson(circuit_, as, ctx_,
+                                                         opts_.gmin, x_new);
+                if (iters > 0) {
+                    solved = true;
+                    break;
+                }
+                // A Newton failure caused by cancellation must not be
+                // "fixed" by shrinking dt — every retry would fail at its
+                // first poll.
+                {
+                    const SolveErrorCode status = ctx_.cancellation_status();
+                    if (status != SolveErrorCode::kNone) {
+                        ++ctx_.stats().cancelled_solves;
+                        char buf[160];
+                        std::snprintf(buf, sizeof(buf),
+                                      "transient: %s during Newton at "
+                                      "t=%.6e s, partial waveform preserved",
+                                      status == SolveErrorCode::kCancelled
+                                          ? "cancelled"
+                                          : "deadline expired",
+                                      t_);
+                        fail(status, buf);
+                        return;
+                    }
+                }
+                dt_ *= 0.25;
+                if (dt_ < opts_.dt_min) {
+                    char buf[160];
+                    std::snprintf(buf, sizeof(buf),
+                                  "transient: Newton failed at t=%.6e s "
+                                  "(%.1f%% of t_end) with dt below dt_min "
+                                  "(step %zu)",
+                                  t_, 100.0 * t_ / t_end_, step_);
+                    fail(SolveErrorCode::kDtUnderflow, buf);
+                    return;
+                }
+            }
+            if (!solved) {
+                fail(SolveErrorCode::kNonConvergence,
+                     "transient: Newton retries exhausted");
+                return;
+            }
+
+            // Local truncation error control via linear-extrapolation
+            // predictor.
+            if (history_valid_ && dt_prev_ > 0.0) {
+                la::Vector x_pred(x_.size());
+                const double slope = dt_ / dt_prev_;
+                for (std::size_t i = 0; i < x_.size(); ++i)
+                    x_pred[i] = x_[i] + slope * (x_[i] - x_prev_[i]);
+                const double ratio =
+                    lte_ratio(x_new, x_pred, n_node_unknowns, opts_);
+                if (ratio > 4.0 && dt_ > opts_.dt_min * 8.0) {
+                    dt_ *= 0.5; // reject and retry with a finer step
+                    continue;
+                }
+                const double grow =
+                    ratio > 0.0 ? 0.9 * std::pow(ratio, -1.0 / 3.0) : 2.0;
+                dt_prev_ = dt_;
+                dt_ *= std::clamp(grow, 0.3, 2.0);
+            } else {
+                dt_prev_ = dt_;
+                dt_ *= 2.0;
+            }
+
+            // Accept the step.
+            ++ctx_.stats().transient_steps;
+            for (const auto& dev : circuit_.devices())
+                dev->accept_step(as, x_new);
+            x_prev_ = std::move(x_);
+            x_ = x_new;
+            t_ = as.time;
+            result_.append(t_, x_);
+            result_.time_reached = t_;
+            history_valid_ = true;
+            force_be_ = false;
+
+            // A breakpoint lands exactly on t: slope discontinuity ahead,
+            // so the predictor and trapezoidal history are invalid.
+            if (next_bp < breakpoints.size() &&
+                std::fabs(breakpoints[next_bp] - t_) <= time_tol(t_)) {
+                history_valid_ = false;
+                force_be_ = true;
+                dt_ = opts_.dt_initial;
+            }
+
+            if (record_ != nullptr)
+                record_step(step_ + 1);
+
+            if (stop_ && stop_(t_, x_)) {
+                result_.completed = true;
+                result_.stopped_early = true;
+                return;
             }
         }
-        if (!solved) {
-            result.message = "transient: Newton retries exhausted";
-            SolveError err;
-            err.code = SolveErrorCode::kNonConvergence;
-            err.message = result.message;
-            err.time = t;
-            err.last_iterate = x;
-            result.error = std::move(err);
-            return result;
-        }
-
-        // Local truncation error control via linear-extrapolation predictor.
-        if (history_valid && dt_prev > 0.0) {
-            la::Vector x_pred(x.size());
-            const double slope = dt / dt_prev;
-            for (std::size_t i = 0; i < x.size(); ++i)
-                x_pred[i] = x[i] + slope * (x[i] - x_prev[i]);
-            const double ratio =
-                lte_ratio(x_new, x_pred, n_node_unknowns, opts);
-            if (ratio > 4.0 && dt > opts.dt_min * 8.0) {
-                dt *= 0.5; // reject and retry with a finer step
-                continue;
-            }
-            const double grow =
-                ratio > 0.0 ? 0.9 * std::pow(ratio, -1.0 / 3.0) : 2.0;
-            dt_prev = dt;
-            dt *= std::clamp(grow, 0.3, 2.0);
-        } else {
-            dt_prev = dt;
-            dt *= 2.0;
-        }
-
-        // Accept the step.
-        ++ctx.stats().transient_steps;
-        for (const auto& dev : circuit.devices())
-            dev->accept_step(as, x_new);
-        x_prev = std::move(x);
-        x = x_new;
-        t = as.time;
-        result.append(t, x);
-        result.time_reached = t;
-        history_valid = true;
-        force_be = false;
-
-        // A breakpoint lands exactly on t: slope discontinuity ahead, so the
-        // predictor and trapezoidal history are invalid.
-        if (next_bp < breakpoints.size() &&
-            std::fabs(breakpoints[next_bp] - t) <= time_tol(t)) {
-            history_valid = false;
-            force_be = true;
-            dt = opts.dt_initial;
-        }
-
-        if (stop && stop(t, x)) {
-            result.completed = true;
-            result.stopped_early = true;
-            return result;
-        }
+        fail(SolveErrorCode::kMaxStepsExceeded,
+             "transient: max step count exceeded");
     }
-    result.message = "transient: max step count exceeded";
-    SolveError err;
-    err.code = SolveErrorCode::kMaxStepsExceeded;
-    err.message = result.message;
-    err.time = t;
-    err.last_iterate = x;
-    result.error = std::move(err);
-    return result;
+
+    Circuit& circuit_;
+    const SimContext& ctx_;
+    const SolverOptions& opts_;
+    const double t_end_;
+    const StopCondition& stop_;
+    const la::Vector* dc_guess_;
+    TransientTape* record_; ///< empty tape this run fills, or null
+    const TransientTape* resume_; ///< filled tape this run resumes, or null
+    TransientResult result_;
+
+    // Stepper state at the top of loop iteration step_.
+    double t_ = 0.0;
+    double dt_ = 0.0;
+    la::Vector x_;          ///< accepted state at t_
+    la::Vector x_prev_;     ///< accepted state one step earlier
+    double dt_prev_ = 0.0;
+    bool history_valid_ = false; ///< can we form the LTE predictor?
+    bool force_be_ = true;       ///< backward Euler on first step / post-break
+    std::size_t step_ = 0;
+    double proposal_end_ = 0.0; ///< running max of proposed end times
+};
+
+TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
+                                double t_end, const StopCondition& stop,
+                                const la::Vector* dc_guess,
+                                TransientTape* tape) {
+    TFET_EXPECTS(t_end > 0.0);
+    const ScopedContext bind(ctx);
+    return TransientRun(circuit, ctx, t_end, stop, dc_guess, tape).run();
 }
 
 TransientResult solve_transient(Circuit& circuit, const SolverOptions& opts,
                                 double t_end, const StopCondition& stop,
-                                const la::Vector* dc_guess) {
+                                const la::Vector* dc_guess,
+                                TransientTape* tape) {
     const SimContext& ambient = ambient_context();
     if (&opts == &ambient.options())
-        return solve_transient(circuit, ambient, t_end, stop, dc_guess);
+        return solve_transient(circuit, ambient, t_end, stop, dc_guess, tape);
     // One view for the whole run: every step's Newton work shares it.
     const SimContext view = ambient.with_options(opts);
-    return solve_transient(circuit, view, t_end, stop, dc_guess);
+    return solve_transient(circuit, view, t_end, stop, dc_guess, tape);
 }
 
 } // namespace tfetsram::spice

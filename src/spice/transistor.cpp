@@ -120,6 +120,17 @@ void Transistor::accept_step(const AnalysisState& as, const la::Vector& x) {
     accept_cap(as, branch_voltage(x, g_, d_), cv.cgd * width_um_, cgd_state_);
 }
 
+void Transistor::save_state(std::vector<double>& out) const {
+    out.insert(out.end(), {cgs_state_.v_prev, cgs_state_.i_prev,
+                           cgd_state_.v_prev, cgd_state_.i_prev});
+}
+
+const double* Transistor::restore_state(const double* in) {
+    cgs_state_ = {in[0], in[1]};
+    cgd_state_ = {in[2], in[3]};
+    return in + 4;
+}
+
 double Transistor::drain_current(const la::Vector& x) const {
     const double vgs = branch_voltage(x, g_, s_);
     const double vds = branch_voltage(x, d_, s_);

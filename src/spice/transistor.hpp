@@ -20,6 +20,8 @@ public:
                const la::Vector& x) override;
     void begin_transient(const la::Vector& x0) override;
     void accept_step(const AnalysisState& as, const la::Vector& x) override;
+    void save_state(std::vector<double>& out) const override;
+    const double* restore_state(const double* in) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
 
     /// Channel current (drain -> source, amps) at the given solution.

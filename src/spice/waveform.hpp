@@ -47,6 +47,14 @@ public:
     /// Return a copy with all values scaled by k (for source stepping).
     [[nodiscard]] Waveform scaled(double k) const;
 
+    /// Earliest time t >= 0 from which this waveform and `other` may
+    /// drive a transient run differently; +infinity when they never do.
+    /// Before it, at() is bitwise equal in both and both carry the same
+    /// breakpoints. A segment counts as shared in full only when its two
+    /// end points are identical, and in part only while it is flat in
+    /// both waveforms (docs/SOLVER.md, "Transient tapes").
+    [[nodiscard]] double shared_until(const Waveform& other) const;
+
 private:
     Waveform() = default;
     std::vector<PwlPoint> points_; // size 1 encodes a DC level

@@ -75,8 +75,7 @@ DrnmResult dynamic_read_noise_margin(SramCell& cell, Assist assist,
 }
 
 WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
-                           const MetricOptions& opts,
-                           std::optional<HoldState>* hold_cache) {
+                           const MetricOptions& opts, WriteBisection* shared) {
     const spice::ScopedContext bind(cell.sim);
     WriteOutcome out;
     const bool value = preferred_write_value(cell);
@@ -87,14 +86,14 @@ WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
     // state is identical across attempts and cacheable by the caller.
     HoldState local;
     const HoldState* hs;
-    if (hold_cache != nullptr && hold_cache->has_value() &&
-        (*hold_cache)->x.size() == cell.circuit.num_unknowns()) {
-        hs = &**hold_cache;
+    if (shared != nullptr && shared->hold.has_value() &&
+        shared->hold->x.size() == cell.circuit.num_unknowns()) {
+        hs = &*shared->hold;
     } else {
         local = solve_hold_state(cell, !value, opts.solver);
-        if (hold_cache != nullptr) {
-            *hold_cache = std::move(local);
-            hs = &**hold_cache;
+        if (shared != nullptr) {
+            shared->hold = std::move(local);
+            hs = &*shared->hold;
         } else {
             hs = &local;
         }
@@ -114,7 +113,8 @@ WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
     };
 
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, w.t_end, stop, &hs->x);
+        cell.circuit, opts.solver, w.t_end, stop, &hs->x,
+        shared != nullptr ? &shared->tape : nullptr);
     if (!tr.completed)
         return out;
 
@@ -128,29 +128,32 @@ WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
 
 double critical_wordline_pulse(SramCell& cell, Assist assist,
                                const MetricOptions& opts) {
-    // Every attempt starts from the same hold state, so it is solved once
-    // (by the first attempt) and replayed across the whole bisection.
-    std::optional<HoldState> hold;
+    // Every attempt starts from the same hold state, solved once by the
+    // first attempt, and resumes the first (longest) attempt's recorded
+    // transient up to its own wordline falling edge.
+    WriteBisection shared;
 
     // Write failure at the maximum pulse means WLcrit is infinite (the
     // paper's "infinite WLcrit" cases for inward nTFET access).
-    WriteOutcome at_max =
-        attempt_write(cell, opts.wlcrit_max, assist, opts, &hold);
+    const WriteOutcome at_max =
+        attempt_write(cell, opts.wlcrit_max, assist, opts, &shared);
     if (!at_max.simulated)
         return kNaN;
     if (!at_max.flipped)
         return kInfinitePulse;
 
-    WriteOutcome at_min =
-        attempt_write(cell, opts.wlcrit_min, assist, opts, &hold);
-    if (at_min.simulated && at_min.flipped)
+    const WriteOutcome at_min =
+        attempt_write(cell, opts.wlcrit_min, assist, opts, &shared);
+    if (!at_min.simulated)
+        return kNaN;
+    if (at_min.flipped)
         return opts.wlcrit_min;
 
     double lo = opts.wlcrit_min;  // known-failing
     double hi = opts.wlcrit_max;  // known-passing
     while ((hi - lo) / hi > opts.wlcrit_rel_tol) {
         const double mid = 0.5 * (lo + hi);
-        const WriteOutcome out = attempt_write(cell, mid, assist, opts, &hold);
+        const WriteOutcome out = attempt_write(cell, mid, assist, opts, &shared);
         if (!out.simulated)
             return kNaN;
         if (out.flipped)

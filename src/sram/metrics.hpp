@@ -11,8 +11,9 @@
 #include <limits>
 #include <optional>
 
-#include "sram/operations.hpp"
 #include "spice/solver_options.hpp"
+#include "spice/transient.hpp"
+#include "sram/operations.hpp"
 
 namespace tfetsram::sram {
 
@@ -76,15 +77,25 @@ struct WriteOutcome {
     double final_separation = 0.0; ///< v(q) - v(qb) at the end, sign-adjusted
 };
 
+/// What the attempts of one WLcrit bisection share. Every attempt starts
+/// from the same hold state, and each one's write transient repeats the
+/// longest attempt's steps bit for bit up to its own wordline falling edge.
+struct WriteBisection {
+    std::optional<HoldState> hold; ///< solved by the first attempt
+    spice::TransientTape tape;     ///< recorded by the first attempt
+};
+
 /// Run one write of the preferred polarity with the given pulse width.
-/// `hold_cache`, when non-null, caches the pre-write hold state across
-/// calls: the hold bias at t = 0 does not depend on the pulse width, so a
-/// bisection caller (critical_wordline_pulse) solves it exactly once. A
-/// cached state whose size no longer matches the circuit is ignored and
-/// re-solved.
+/// `shared`, when non-null, carries state across the attempts of one
+/// bisection (critical_wordline_pulse): the hold state at t = 0 does not
+/// depend on the pulse width, so it is solved exactly once, and the first
+/// attempt records its transient on the tape, from which every later
+/// attempt resumes. Results are bitwise those of a call without `shared`.
+/// A cached hold state whose size no longer matches the circuit is ignored
+/// and re-solved.
 WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
                            const MetricOptions& opts,
-                           std::optional<HoldState>* hold_cache = nullptr);
+                           WriteBisection* shared = nullptr);
 
 inline constexpr double kInfinitePulse =
     std::numeric_limits<double>::infinity();

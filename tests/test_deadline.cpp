@@ -272,6 +272,76 @@ TEST(TransientCancellation, DeadlinePreservesPartialWaveform) {
     EXPECT_EQ(a.second, b.second);      // and the poll count is identical
 }
 
+TEST(TransientCancellation, ResumedAttemptExpiresWithPrefixIntact) {
+    // A WLcrit bisection whose iteration budget runs out after its first
+    // (recording) attempt: the next attempt resumes the tape and expires
+    // in the part it integrates itself.
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const sram::MetricOptions opts;
+    std::uint64_t recording_iters = 0;
+    {
+        spice::SimContext ctx{spice::SimConfig{}};
+        sram::SramCell cell = sram::build_cell(cfg, &ctx);
+        sram::WriteBisection shared;
+        ASSERT_TRUE(sram::attempt_write(cell, opts.wlcrit_max,
+                                        sram::Assist::kNone, opts, &shared)
+                        .flipped);
+        recording_iters = ctx.stats().nr_iterations;
+    }
+    const std::uint64_t budget = recording_iters + 20;
+
+    auto run_budgeted = [&] {
+        spice::SimConfig sc;
+        sc.iteration_budget = budget;
+        spice::SimContext ctx(sc);
+        sram::SramCell cell = sram::build_cell(cfg, &ctx);
+        sram::WriteBisection shared;
+        // The budget is not yet spent by the recording attempt.
+        EXPECT_TRUE(sram::attempt_write(cell, opts.wlcrit_max,
+                                        sram::Assist::kNone, opts, &shared)
+                        .flipped);
+        const spice::SolverStats before = ctx.stats();
+        const sram::OperationWindow w = sram::program_write(
+            cell, sram::preferred_write_value(cell), opts.wlcrit_min,
+            sram::Assist::kNone, opts.assist_fraction, opts.timing);
+        const spice::TransientResult r = spice::solve_transient(
+            cell.circuit, ctx, w.t_end, nullptr, &shared.hold->x,
+            &shared.tape);
+        const std::uint64_t replayed =
+            (ctx.stats() - before).transient_steps_replayed;
+        EXPECT_FALSE(r.completed);
+        EXPECT_TRUE(r.error.has_value());
+        if (r.error) {
+            EXPECT_EQ(r.error->code,
+                      spice::SolveErrorCode::kDeadlineExceeded);
+        }
+        EXPECT_NE(r.message.find("partial waveform preserved"),
+                  std::string::npos);
+        // The recorded prefix is intact, and the run went past it.
+        const spice::TransientResult& rec = shared.tape.trajectory();
+        EXPECT_GT(replayed, 0u);
+        EXPECT_GT(r.size(), replayed + 1);
+        for (std::size_t i = 0; i <= replayed && i < r.size(); ++i) {
+            EXPECT_EQ(r.times()[i], rec.times()[i]) << "sample " << i;
+            EXPECT_EQ(r.state(i), rec.state(i)) << "sample " << i;
+        }
+        return std::make_pair(r.time_reached, ctx.stats().deadline_polls);
+    };
+    const auto a = run_budgeted();
+    const auto b = run_budgeted();
+    EXPECT_EQ(a.first, b.first);   // expiry lands on the same step
+    EXPECT_EQ(a.second, b.second); // and the poll count is identical
+
+    // The whole bisection under the same budget reports no measurement.
+    spice::SimConfig sc;
+    sc.iteration_budget = budget;
+    spice::SimContext ctx(sc);
+    sram::SramCell cell = sram::build_cell(cfg, &ctx);
+    EXPECT_TRUE(std::isnan(
+        sram::critical_wordline_pulse(cell, sram::Assist::kNone, opts)));
+}
+
 // ------------------------------------------------ Monte-Carlo censoring
 
 TEST(McCancellation, DeadlineCensoredSamplesFlowIntoYieldInterval) {

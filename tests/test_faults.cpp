@@ -28,6 +28,7 @@
 #include "spice/solution.hpp"
 #include "spice/transient.hpp"
 #include "sram/designs.hpp"
+#include "sram/metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/fault.hpp"
 
@@ -292,6 +293,61 @@ TEST(TransientFaults, OperatingPointFailurePropagatesDcError) {
     EXPECT_FALSE(r.has_state());
     ASSERT_TRUE(r.error.has_value());
     EXPECT_EQ(r.error->code, spice::SolveErrorCode::kInjectedFault);
+}
+
+// ------------------------------------------------- WLcrit bisection
+
+TEST(WlcritFaults, UnsimulatedShortestAttemptReturnsNaN) {
+    // The bisection's second attempt (the wlcrit_min pulse) is the first
+    // to resume the longest attempt's transient tape. When it cannot be
+    // simulated, WLcrit is NaN, as for every other attempt: the bisection
+    // must not read a failed simulation as a failed write and go on.
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, device::make_model_set()).config;
+    const sram::MetricOptions opts;
+    // Newton calls of the hold state and the first attempt, counted under
+    // a plan that never fires.
+    std::uint64_t first_calls = 0;
+    {
+        fault::ScopedFaultInjection count_only("newton@from:1000000000");
+        sram::SramCell cell = sram::build_cell(cfg);
+        sram::WriteBisection shared;
+        ASSERT_TRUE(sram::attempt_write(cell, opts.wlcrit_max,
+                                        sram::Assist::kNone, opts, &shared)
+                        .flipped);
+        first_calls = fault::op_count(fault::Site::kNewton);
+    }
+    ASSERT_GT(first_calls, 0u);
+
+    // Fail every Newton call from there on: the shortest attempt gives up
+    // once its first step's retries are exhausted (dt below dt_min).
+    std::uint64_t faulted_calls = 0;
+    {
+        fault::ScopedFaultInjection inject("newton@from:" +
+                                           std::to_string(first_calls));
+        sram::SramCell cell = sram::build_cell(cfg);
+        sram::WriteBisection shared;
+        ASSERT_TRUE(sram::attempt_write(cell, opts.wlcrit_max,
+                                        sram::Assist::kNone, opts, &shared)
+                        .flipped);
+        EXPECT_FALSE(sram::attempt_write(cell, opts.wlcrit_min,
+                                         sram::Assist::kNone, opts, &shared)
+                         .simulated);
+        faulted_calls = fault::op_count(fault::Site::kNewton) - first_calls;
+    }
+    ASSERT_GT(faulted_calls, 0u);
+
+    // Fault exactly those calls: every later attempt would simulate.
+    std::string spec = "newton@";
+    for (std::uint64_t i = 0; i < faulted_calls; ++i)
+        spec += (i == 0 ? "" : ",") + std::to_string(first_calls + i);
+    fault::ScopedFaultInjection inject(spec);
+    sram::SramCell cell = sram::build_cell(cfg);
+    EXPECT_TRUE(std::isnan(
+        sram::critical_wordline_pulse(cell, sram::Assist::kNone, opts)));
+    // The bisection ended with the faulted attempt.
+    EXPECT_EQ(fault::op_count(fault::Site::kNewton),
+              first_calls + faulted_calls);
 }
 
 // ------------------------------------------------- AC error propagation

@@ -14,6 +14,7 @@
 #include "la/matrix.hpp"
 #include "la/sparse_lu.hpp"
 #include "la/sparse_matrix.hpp"
+#include "support/minimum_degree.hpp"
 #include "util/rng.hpp"
 
 namespace tfetsram::la {
@@ -237,7 +238,7 @@ TEST(MinimumDegree, ProducesAValidPermutation) {
                 a(r, c) = 1.0;
     }
     const SparseMatrix s = SparseMatrix::from_dense(a);
-    const std::vector<std::size_t> q = minimum_degree_order(s);
+    const std::vector<std::size_t> q = testing_support::minimum_degree_order(s);
     ASSERT_EQ(q.size(), 12u);
     std::vector<std::size_t> sorted = q;
     std::sort(sorted.begin(), sorted.end());
@@ -257,7 +258,7 @@ TEST(MinimumDegree, ArrowMatrixEliminatesDenseColumnLast) {
         s.reserve_entry(i, 0);
     }
     s.finalize_pattern();
-    const std::vector<std::size_t> q = minimum_degree_order(s);
+    const std::vector<std::size_t> q = testing_support::minimum_degree_order(s);
     // Once only the hub and a single spoke remain they are both degree 1,
     // so the hub may come in either of the final two slots — but never
     // earlier, where eliminating it would clique the remaining spokes.
@@ -392,7 +393,7 @@ TEST(Amd, FillCompetitiveWithGreedyOnGridPattern) {
     const SparseMatrix s = grid_laplacian(9);
     SparseLu amd, greedy, natural;
     amd.analyze(s); // default ordering is AMD
-    greedy.analyze(s, minimum_degree_order(s));
+    greedy.analyze(s, testing_support::minimum_degree_order(s));
     std::vector<std::size_t> identity(s.rows());
     std::iota(identity.begin(), identity.end(), std::size_t{0});
     natural.analyze(s, std::move(identity));

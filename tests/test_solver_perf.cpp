@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "device/models.hpp"
 #include "la/matrix.hpp"
@@ -32,6 +33,7 @@
 #include "sram/cell.hpp"
 #include "sram/metrics.hpp"
 #include "sram/operations.hpp"
+#include "support/wlcrit_reference.hpp"
 #include "util/fault.hpp"
 
 namespace tfetsram {
@@ -125,14 +127,42 @@ TEST(SolverPerf, WlcritBisectionSolvesHoldStateOnce) {
     const spice::SolverStats d = metered_since(before);
     ASSERT_TRUE(std::isfinite(wlcrit));
     EXPECT_GT(wlcrit, 0.0);
-    // Each bisection attempt costs one transient (whose t=0 operating point
-    // is one dc solve, warm-started from the cached hold state). The hold
-    // state itself is solved once for the whole bisection: two dc solves
+    // The hold state is solved once for the whole bisection: two dc solves
     // (cold settling + forced state), three if the crawl fallback engages.
-    // Pre-fix every attempt re-solved the hold state: dc_solves ran 3x the
-    // transient count (42 vs 14 on this workload).
+    // Only the first attempt solves its t = 0 operating point; every later
+    // one resumes the first attempt's transient tape past it. Pre-fix every
+    // attempt re-solved the hold state (dc_solves ran 3x the transient
+    // count, 42 vs 14 on this workload), and before the tape every attempt
+    // solved its own t = 0 point.
     EXPECT_GE(d.transient_solves, 4u);
-    EXPECT_LE(d.dc_solves, d.transient_solves + 3);
+    EXPECT_LE(d.dc_solves, 4u);
+}
+
+TEST(SolverPerf, WlcritBisectionReplaysMostOfItsSteps) {
+    // The same pulse widths, one independent attempt_write each: their
+    // accepted steps are what the resumed bisection either integrates or
+    // replays from its tape, and the shared prefixes are most of them.
+    sram::SramCell plain_cell = make_cell();
+    const sram::MetricOptions opts;
+    std::vector<double> pulses;
+    const spice::SolverStats before_plain = spice::solver_stats();
+    const double plain = testing_support::wlcrit_by_plain_attempts(
+        plain_cell, sram::Assist::kNone, opts, &pulses);
+    const spice::SolverStats p = metered_since(before_plain);
+    ASSERT_TRUE(std::isfinite(plain));
+    ASSERT_GE(pulses.size(), 4u);
+    EXPECT_EQ(p.transient_steps_replayed, 0u);
+
+    sram::SramCell cell = make_cell();
+    const spice::SolverStats before = spice::solver_stats();
+    const double wlcrit =
+        sram::critical_wordline_pulse(cell, sram::Assist::kNone, opts);
+    const spice::SolverStats d = metered_since(before);
+    EXPECT_EQ(wlcrit, plain);
+    EXPECT_EQ(d.transient_solves, pulses.size());
+    EXPECT_EQ(d.transient_steps + d.transient_steps_replayed,
+              p.transient_steps);
+    EXPECT_GE(2 * d.transient_steps_replayed, p.transient_steps);
 }
 
 TEST(SolverPerf, ColdGuessCacheSkipsSettlingSolve) {

@@ -33,6 +33,7 @@
 #include "spice/solver_select.hpp"
 #include "spice/stats.hpp"
 #include "sram/designs.hpp"
+#include "support/minimum_degree.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -394,7 +395,7 @@ TEST(SparseAssembly, AmdFillNoWorseThanGreedyOnRealMnaPatterns) {
         if (use_amd)
             lu.analyze(jac); // default ordering is AMD
         else
-            lu.analyze(jac, la::minimum_degree_order(jac));
+            lu.analyze(jac, testing_support::minimum_degree_order(jac));
         EXPECT_TRUE(lu.refactor(jac));
         return lu.lu_nnz();
     };
