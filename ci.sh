@@ -10,8 +10,10 @@
 # zeros (perfbench/README.md), an ASan+UBSan build running the
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
 # pivoting are exactly the code sanitizers exist for) plus the netlist
-# parser suite and the runner suite (journal and BENCH emission build JSON
-# strings), then a
+# parser suite, the runner suite (journal and BENCH emission build JSON
+# strings), the dense-LU/value-only-C-V oracles, the C-V memo hazards and
+# the non-finite lookup/Newton cases (float-cast-overflow added to UBSan),
+# then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
 # engines and yield estimator that fan draws out through the shared pool,
@@ -177,9 +179,11 @@ if [[ "$SKIP_ASAN" == "1" ]]; then
   echo "=== asan job skipped ==="
 else
   echo "=== build (Address+UndefinedBehaviorSanitizer) ==="
+  # float-cast-overflow is not part of GCC's -fsanitize=undefined; it is
+  # what catches a NaN or out-of-range double converted to an index.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DTFETSRAM_SANITIZE=address,undefined
-  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume
+    -DTFETSRAM_SANITIZE=address,undefined,float-cast-overflow
+  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume test_kernel_diff test_cv_memo test_nonfinite
 
   echo "=== asan+ubsan: linear-kernel and differential suites ==="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -209,6 +213,17 @@ else
   # and copy trajectory prefixes; the resume differential runs both ways.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_transient_resume
+  # The dense LU and the value-only C-V lookup walk raw row pointers
+  # behind one entry check; their reference oracles and the C-V memo's
+  # hazard cases run under the memory sanitizers.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_kernel_diff
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_cv_memo
+  # Non-finite coordinates must never reach the table lookup's
+  # float-to-index conversion; NaN Newton updates must fail the iteration.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_nonfinite
 fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then

@@ -77,10 +77,11 @@ void DeviceTable::iv_many(const double* vgs, const double* vds, std::size_t n,
 }
 
 spice::CvSample DeviceTable::cv(double vgs, double vds) const {
-    const double cgs = cgs_grid_.eval(vgs, vds).f;
-    const double cgd = cgd_grid_.eval(vgs, vds).f;
+    // Both capacitance grids share the (vgs, vds) axes: one cell locate,
+    // values only — bitwise {cgs_grid_.eval().f, cgd_grid_.eval().f}.
+    const Grid2d::ValuePair c = Grid2d::values(cgs_grid_, cgd_grid_, vgs, vds);
     // Interpolation undershoot must not produce a negative capacitance.
-    return {std::max(cgs, 1e-18), std::max(cgd, 1e-18)};
+    return {std::max(c.a, 1e-18), std::max(c.b, 1e-18)};
 }
 
 } // namespace tfetsram::device

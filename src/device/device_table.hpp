@@ -41,6 +41,9 @@ public:
     DeviceTable(std::string name, const TableSpec& spec);
 
     [[nodiscard]] spice::IvSample iv(double vgs, double vds) const override;
+    /// Cgs and Cgd from one value-only lookup of the two C-V grids
+    /// (Grid2d::values), each floored at 1e-18 F/um; bitwise
+    /// max(cgs_grid().eval(vgs, vds).f, 1e-18) and the same for cgd.
     [[nodiscard]] spice::CvSample cv(double vgs, double vds) const override;
     [[nodiscard]] const char* name() const override { return name_.c_str(); }
 

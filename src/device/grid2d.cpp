@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace tfetsram::device {
 
@@ -137,22 +138,36 @@ double Grid2d::at(std::size_t ix, std::size_t iy) const {
     return data_[iy * nx_ + ix];
 }
 
-Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
-    // Locate the cell; clamp so the upper edge evaluates in the last cell.
-    // Multiplying by the precomputed reciprocal steps keeps hardware
-    // divides out of the per-iterate device-evaluation hot loop.
+bool Grid2d::same_axes(const Grid2d& other) const {
+    return x0_ == other.x0_ && x1_ == other.x1_ && nx_ == other.nx_ &&
+           y0_ == other.y0_ && y1_ == other.y1_ && ny_ == other.ny_;
+}
+
+Grid2d::Cell Grid2d::locate(double x, double y) const {
+    // Clamp so the upper edge evaluates in the last cell. Multiplying by
+    // the precomputed reciprocal steps keeps hardware divides out of the
+    // per-iterate device-evaluation hot loop. Callers pass in-domain
+    // (finite) coordinates only, so the index conversion is defined.
     const double fx_pos = (x - x0_) * inv_hx_;
     const double fy_pos = (y - y0_) * inv_hy_;
     const auto ix = std::min(static_cast<std::size_t>(std::max(fx_pos, 0.0)),
                              nx_ - 2);
     const auto iy = std::min(static_cast<std::size_t>(std::max(fy_pos, 0.0)),
                              ny_ - 2);
-    const double tx = fx_pos - static_cast<double>(ix);
-    const double ty = fy_pos - static_cast<double>(iy);
+    return {ix, iy, fx_pos - static_cast<double>(ix),
+            fy_pos - static_cast<double>(iy)};
+}
+
+Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
+    const Cell cell = locate(x, y);
+    const std::size_t ix = cell.ix;
+    const std::size_t iy = cell.iy;
+    const double tx = cell.tx;
+    const double ty = cell.ty;
 
     double row_f[4];
     double row_fx[4];
-    if (ix >= 1 && ix + 2 < nx_ && iy >= 1 && iy + 2 < ny_) {
+    if (interior(cell)) {
         // Interior fast path: the whole 4x4 stencil is on-grid, so the
         // samples read straight out of the row-major store. This is the
         // branch the device tables take almost always (241x241 grids) and
@@ -237,6 +252,10 @@ Grid2d::InnerSample Grid2d::eval_inside(double x, double y) const {
 }
 
 Grid2d::Sample Grid2d::eval(double x, double y) const {
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        return {nan, nan, nan};
+    }
     const double xc = std::clamp(x, x0_, x1_);
     const double yc = std::clamp(y, y0_, y1_);
     const InnerSample s = eval_inside(xc, yc);
@@ -261,6 +280,39 @@ void Grid2d::eval_many(const double* xs, const double* ys, std::size_t n,
     // agreement with the scalar path).
     for (std::size_t i = 0; i < n; ++i)
         out[i] = eval(xs[i], ys[i]);
+}
+
+Grid2d::ValuePair Grid2d::values(const Grid2d& a, const Grid2d& b, double x,
+                                 double y) {
+    TFET_EXPECTS(a.same_axes(b));
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        return {nan, nan};
+    }
+    // Off the table or in an edge cell: eval()'s bilinear extension and
+    // padded stencil, unchanged. (The in-domain test is std::clamp's, so a
+    // point takes this fallback exactly when eval() would extend.)
+    if (x < a.x0_ || a.x1_ < x || y < a.y0_ || a.y1_ < y)
+        return {a.eval(x, y).f, b.eval(x, y).f};
+    const Cell cell = a.locate(x, y);
+    if (!a.interior(cell))
+        return {a.eval(x, y).f, b.eval(x, y).f};
+    // eval_inside's interior branch and y-pass with only .f read: the
+    // inlined derivative and weight terms are dead and drop out, so the
+    // value comes from the very same expressions.
+    const std::size_t offset = (cell.iy - 1) * a.nx_ + (cell.ix - 1);
+    const auto value = [&](const Grid2d& g) {
+        const double* base = g.data_.data() + offset;
+        double row_f[4];
+        for (int r = 0; r < 4; ++r) {
+            const double* p = base + static_cast<std::size_t>(r) * g.nx_;
+            row_f[r] = monotone_hermite(p[0], p[1], p[2], p[3], cell.tx).f;
+        }
+        return monotone_hermite_weights(row_f[0], row_f[1], row_f[2],
+                                        row_f[3], cell.ty)
+            .f;
+    };
+    return {value(a), value(b)};
 }
 
 } // namespace tfetsram::device

@@ -1,5 +1,6 @@
 #include "la/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -8,15 +9,22 @@ namespace tfetsram::la {
 
 bool LuFactorization::eliminate(double pivot_tol) {
     const std::size_t n = lu_.rows();
+    // The one bounds check: lu_ is an n x n row-major store, and every row
+    // and column index below is < n, so each element access is in bounds
+    // (docs/SOLVER.md, "The dense kernel"; tests/test_kernel_diff.cpp holds
+    // the results bitwise to a per-element-checked reference).
+    TFET_EXPECTS(lu_.cols() == n);
     perm_.resize(n);
     std::iota(perm_.begin(), perm_.end(), 0);
+    double* const a = lu_.data();
 
     for (std::size_t k = 0; k < n; ++k) {
+        double* const row_k = a + k * n;
         // Partial pivoting: pick the largest magnitude entry in column k.
         std::size_t pivot_row = k;
-        double pivot_mag = std::fabs(lu_(k, k));
+        double pivot_mag = std::fabs(row_k[k]);
         for (std::size_t r = k + 1; r < n; ++r) {
-            const double mag = std::fabs(lu_(r, k));
+            const double mag = std::fabs(a[r * n + k]);
             if (mag > pivot_mag) {
                 pivot_mag = mag;
                 pivot_row = r;
@@ -25,18 +33,18 @@ bool LuFactorization::eliminate(double pivot_tol) {
         if (pivot_mag < pivot_tol)
             return false;
         if (pivot_row != k) {
-            for (std::size_t c = 0; c < n; ++c)
-                std::swap(lu_(k, c), lu_(pivot_row, c));
+            std::swap_ranges(row_k, row_k + n, a + pivot_row * n);
             std::swap(perm_[k], perm_[pivot_row]);
         }
-        const double inv_pivot = 1.0 / lu_(k, k);
+        const double inv_pivot = 1.0 / row_k[k];
         for (std::size_t r = k + 1; r < n; ++r) {
-            const double factor = lu_(r, k) * inv_pivot;
-            lu_(r, k) = factor;
+            double* const row_r = a + r * n;
+            const double factor = row_r[k] * inv_pivot;
+            row_r[k] = factor;
             if (factor == 0.0)
                 continue;
             for (std::size_t c = k + 1; c < n; ++c)
-                lu_(r, c) -= factor * lu_(k, c);
+                row_r[c] -= factor * row_k[c];
         }
     }
     return true;
@@ -60,24 +68,32 @@ bool LuFactorization::factor_in_place(const Matrix& a, double pivot_tol) {
 
 void LuFactorization::solve_into(const Vector& b, Vector& x) const {
     const std::size_t n = lu_.rows();
+    // Entry checks imply every bound below: an n x n factor, a permutation
+    // of 0..n-1 in perm_ (eliminate builds it from iota by swaps), and n
+    // right-hand-side entries.
+    TFET_EXPECTS(lu_.cols() == n && perm_.size() == n);
     TFET_EXPECTS(b.size() == n);
     TFET_EXPECTS(&b != &x);
     x.resize(n);
+    const double* const a = lu_.data();
+    double* const y = x.data();
 
     // Forward substitution on the permuted RHS (L has unit diagonal),
     // accumulating y directly in x.
     for (std::size_t r = 0; r < n; ++r) {
+        const double* const row = a + r * n;
         double acc = b[perm_[r]];
         for (std::size_t c = 0; c < r; ++c)
-            acc -= lu_(r, c) * x[c];
-        x[r] = acc;
+            acc -= row[c] * y[c];
+        y[r] = acc;
     }
     // Back substitution in place.
     for (std::size_t i = n; i-- > 0;) {
-        double acc = x[i];
+        const double* const row = a + i * n;
+        double acc = y[i];
         for (std::size_t c = i + 1; c < n; ++c)
-            acc -= lu_(i, c) * x[c];
-        x[i] = acc / lu_(i, i);
+            acc -= row[c] * y[c];
+        y[i] = acc / row[i];
     }
 }
 

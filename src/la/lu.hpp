@@ -38,6 +38,15 @@ public:
     /// conditioning indicator the Newton loop uses for diagnostics.
     [[nodiscard]] double pivot_spread_log10() const;
 
+    /// The packed factors (unit-diagonal L below the diagonal, U on and
+    /// above it) and the row permutation: perm[k] is the original row now
+    /// in row k. After a failed factorization they hold the elimination
+    /// up to the failing column.
+    [[nodiscard]] const Matrix& factors() const { return lu_; }
+    [[nodiscard]] const std::vector<std::size_t>& permutation() const {
+        return perm_;
+    }
+
 private:
     /// Eliminate lu_ in place with partial pivoting, recording row swaps
     /// in perm_. Returns false on a sub-threshold pivot.

@@ -34,6 +34,12 @@ public:
         return data_[r * cols_ + c];
     }
 
+    /// Row-major storage, rows() * cols() entries: row r starts at
+    /// data() + r * cols(). For kernels that check their dimensions once at
+    /// entry instead of per element (la/lu.cpp).
+    [[nodiscard]] double* data() { return data_.data(); }
+    [[nodiscard]] const double* data() const { return data_.data(); }
+
     /// Reset all entries to zero without reallocating.
     void set_zero();
 

@@ -40,10 +40,16 @@ double assemble_residual_norm(Circuit& circuit, const AnalysisState& as,
         }
     } else {
         assemble(circuit, as, x, gmin, w.jac, w.rhs);
+        // Every index the loop forms is below n, so this entry check
+        // bounds each element access.
+        TFET_EXPECTS(w.jac.rows() == n && w.jac.cols() == n &&
+                     w.rhs.size() == n);
+        const double* const jac = w.jac.data();
         for (std::size_t i = 0; i < n; ++i) {
+            const double* const row = jac + i * n;
             double r = -w.rhs[i];
             for (std::size_t c = 0; c < n; ++c)
-                r += w.jac(i, c) * x[c];
+                r += row[c] * x[c];
             acc += r * r;
         }
     }
@@ -135,6 +141,19 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
         else
             w.lu.solve_into(w.rhs, w.x_new);
         const la::Vector& x_new = w.x_new;
+
+        // A non-finite update is a failed iteration, as a failed
+        // factorization is: the convergence test below is false for NaN
+        // (so NaN would pass as converged) and the damping's std::max
+        // skips it. DC then escalates its strategies; a transient shrinks
+        // dt.
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!std::isfinite(x_new[i])) {
+                if (final_residual != nullptr)
+                    *final_residual = resid;
+                return -iter;
+            }
+        }
 
         // Convergence: the full Newton update is within tolerance. Checked
         // before any damping/line search — at the solution the update is

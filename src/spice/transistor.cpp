@@ -1,6 +1,9 @@
 #include "spice/transistor.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "spice/eval_batch.hpp"
 #include "spice/solution.hpp"
@@ -27,6 +30,19 @@ Transistor::Transistor(std::string label, TransistorModelPtr model,
 void Transistor::set_model(TransistorModelPtr model) {
     TFET_EXPECTS(model != nullptr);
     model_ = std::move(model);
+    cv_memo_ = kNoCvMemo;
+}
+
+CvSample Transistor::cv_at(double vgs, double vds) {
+    // A NaN bias never hits, so the NaN key of an empty memo cannot either.
+    if (std::bit_cast<std::uint64_t>(vgs) ==
+            std::bit_cast<std::uint64_t>(cv_memo_.vgs) &&
+        std::bit_cast<std::uint64_t>(vds) ==
+            std::bit_cast<std::uint64_t>(cv_memo_.vds) &&
+        !std::isnan(vgs))
+        return cv_memo_.cv;
+    cv_memo_ = {vgs, vds, model_->cv(vgs, vds)};
+    return cv_memo_.cv;
 }
 
 void Transistor::stamp(Stamper& st, const AnalysisState& as,
@@ -69,7 +85,7 @@ void Transistor::stamp(Stamper& st, const AnalysisState& as,
     st.add_current(d_, s_, ieq);
 
     if (as.mode == AnalysisMode::kTransient) {
-        const CvSample cv = model_->cv(vgs, vds);
+        const CvSample cv = cv_at(vgs, vds);
         stamp_cap(st, as, g_, s_, cv.cgs * width_um_, cgs_state_);
         stamp_cap(st, as, g_, d_, cv.cgd * width_um_, cgd_state_);
     }
@@ -110,12 +126,13 @@ void Transistor::accept_cap(const AnalysisState& as, double v_new,
 void Transistor::begin_transient(const la::Vector& x0) {
     cgs_state_ = {branch_voltage(x0, g_, s_), 0.0};
     cgd_state_ = {branch_voltage(x0, g_, d_), 0.0};
+    cv_memo_ = kNoCvMemo;
 }
 
 void Transistor::accept_step(const AnalysisState& as, const la::Vector& x) {
     const double vgs = branch_voltage(x, g_, s_);
     const double vds = branch_voltage(x, d_, s_);
-    const CvSample cv = model_->cv(vgs, vds);
+    const CvSample cv = cv_at(vgs, vds);
     accept_cap(as, vgs, cv.cgs * width_um_, cgs_state_);
     accept_cap(as, branch_voltage(x, g_, d_), cv.cgd * width_um_, cgd_state_);
 }

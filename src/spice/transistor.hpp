@@ -4,6 +4,8 @@
 // gate-drain capacitances from the model's C-V characteristic integrate via
 // the engine's companion models. Width scales all per-micron quantities.
 
+#include <limits>
+
 #include "spice/device.hpp"
 #include "spice/transistor_model.hpp"
 
@@ -30,7 +32,8 @@ public:
     [[nodiscard]] double width_um() const { return width_um_; }
     [[nodiscard]] const TransistorModel& model() const { return *model_; }
 
-    /// Swap the device model (used by Monte-Carlo re-simulation).
+    /// Swap the device model (used by Monte-Carlo re-simulation). Clears
+    /// the C-V memo.
     void set_model(TransistorModelPtr model);
 
     /// Adopt a precomputed I-V slot in the circuit's DeviceEvalBatch.
@@ -58,6 +61,25 @@ private:
     static void accept_cap(const AnalysisState& as, double v_new, double farads,
                            CapState& cs);
 
+    /// model_->cv(vgs, vds) through the one-entry memo below.
+    CvSample cv_at(double vgs, double vds);
+
+    /// The last C-V sample this transistor evaluated, keyed on the bitwise
+    /// (vgs, vds) pair. The stepper warm-starts every step (and every
+    /// dt-shrink retry) from the accepted state, so the first transient
+    /// stamp asks for the point accept_step just evaluated. The sample is
+    /// a pure function of the model and the key, so a hit is bitwise the
+    /// model call; the memo is cleared (a NaN key, which never hits) by
+    /// set_model and begin_transient — the latter so a table edited in
+    /// place between runs is read afresh. 32 bytes per transistor.
+    struct CvMemo {
+        double vgs;
+        double vds;
+        CvSample cv;
+    };
+    static constexpr CvMemo kNoCvMemo{
+        std::numeric_limits<double>::quiet_NaN(), 0.0, {0.0, 0.0}};
+
     TransistorModelPtr model_;
     const DeviceEvalBatch* batch_ = nullptr;
     std::size_t batch_slot_ = 0;
@@ -67,6 +89,7 @@ private:
     double width_um_;
     CapState cgs_state_;
     CapState cgd_state_;
+    CvMemo cv_memo_ = kNoCvMemo;
 };
 
 } // namespace tfetsram::spice

@@ -152,10 +152,10 @@ std::vector<Case> cases() {
         out.push_back({std::string("tfet6t_beta2_") + assist_names[i], beta2,
                        sram::kWriteAssists[i]});
     out.push_back({"tfet6t_beta06_none", proposed, Assist::kNone});
-    out.push_back(
-        {"asym6t", sram::asym6t_design(0.8, models()).config, Assist::kNone});
-    out.push_back(
-        {"tfet7t", sram::tfet7t_design(0.8, models()).config, Assist::kNone});
+    out.push_back({"asym6t_beta1_none",
+                   sram::asym6t_design(0.8, models()).config, Assist::kNone});
+    out.push_back({"tfet7t_beta08_none",
+                   sram::tfet7t_design(0.8, models()).config, Assist::kNone});
     return out;
 }
 
