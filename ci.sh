@@ -59,6 +59,18 @@ cmake --build build -j "$JOBS"
 echo "=== ctest ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "=== lint: stable test names ==="
+# A parameterized gtest whose parameter type has no PrintTo lists its
+# parameter as raw object bytes ("176-byte object <00-64 ...>"), heap
+# pointers included, so its ctest name changes from build to build.
+UNSTABLE="$(ctest --test-dir build -N | grep -- '-byte object <' || true)"
+if [[ -n "$UNSTABLE" ]]; then
+  echo "test names carrying a raw parameter dump (add a PrintTo):" >&2
+  echo "$UNSTABLE" >&2
+  exit 1
+fi
+echo "test names stable"
+
 echo "=== fault injection: degraded keep-going run ==="
 # Force one sweep point's DC solve to fail; the run must still complete,
 # quarantine the task, and mark the BENCH artifact degraded (see

@@ -10,34 +10,6 @@
 
 namespace tfetsram::array {
 
-namespace {
-
-using spice::Waveform;
-
-constexpr double kSettle = 50e-12;
-constexpr double kAssistLead = 500e-12;
-constexpr double kAssistEdge = 10e-12;
-constexpr double kWlEdge = 5e-12;
-constexpr double kPost = 400e-12;
-
-/// Base level until t_on, ramp to active, hold until t_off, ramp back.
-Waveform excursion(double base, double active, double t_on, double t_off,
-                   double edge) {
-    if (base == active)
-        return Waveform::dc(base);
-    return Waveform::pwl({{t_on, base},
-                          {t_on + edge, active},
-                          {t_off, active},
-                          {t_off + edge, base}});
-}
-
-bool wordline_active_low(const sram::CellConfig& cell) {
-    return cell.kind == sram::CellKind::kTfet6T &&
-           sram::access_is_ptype(cell.access);
-}
-
-} // namespace
-
 void validate_config(const ArrayConfig& config) {
     auto reject = [](const std::string& what) {
         spice::SolveError err;
@@ -63,46 +35,61 @@ void validate_config(const ArrayConfig& config) {
         reject("sense_margin must be finite and >= 0");
 }
 
+void add_column_rails(spice::Circuit& ckt, const ArrayConfig& config,
+                      std::size_t c, const sram::OperationProgram& hold,
+                      ColumnRails& rails) {
+    const std::string id = std::to_string(c);
+    rails.bl = ckt.add_node("bl" + id);
+    rails.blb = ckt.add_node("blb" + id);
+    rails.bl_drv = ckt.add_node("bl" + id + "_drv");
+    rails.blb_drv = ckt.add_node("blb" + id + "_drv");
+    rails.v_bl =
+        &ckt.add_vsource("Vbl" + id, rails.bl_drv, spice::kGround, hold.bl);
+    rails.v_blb =
+        &ckt.add_vsource("Vblb" + id, rails.blb_drv, spice::kGround, hold.blb);
+    rails.sw_bl = &ckt.add_switch("SWbl" + id, rails.bl_drv, rails.bl,
+                                  config.cell.r_precharge, 1e12, hold.sw_bl);
+    rails.sw_blb = &ckt.add_switch("SWblb" + id, rails.blb_drv, rails.blb,
+                                   config.cell.r_precharge, 1e12, hold.sw_blb);
+    const double c_bl =
+        config.c_bitline_per_row * static_cast<double>(config.rows);
+    ckt.add_capacitor("Cbl" + id, rails.bl, spice::kGround, c_bl);
+    ckt.add_capacitor("Cblb" + id, rails.blb, spice::kGround, c_bl);
+    rails.vss = ckt.add_node("vss" + id);
+    rails.v_vss =
+        &ckt.add_vsource("Vvss" + id, rails.vss, spice::kGround, hold.vss);
+}
+
+AccessPrograms write_programs(const ArrayConfig& config, bool value) {
+    return {sram::OperationProgram::write(
+                config.cell, value, config.write_pulse, config.write_assist,
+                config.assist_fraction, {}),
+            sram::OperationProgram::read(config.cell, config.write_pulse,
+                                         config.read_assist,
+                                         config.assist_fraction, {}, false)};
+}
+
+AccessPrograms read_programs(const ArrayConfig& config) {
+    const sram::OperationProgram read = sram::OperationProgram::read(
+        config.cell, config.read_duration, config.read_assist,
+        config.assist_fraction, {}, true);
+    return {read, read};
+}
+
 SramArray::SramArray(const ArrayConfig& config, const spice::SimContext* sim)
     : config_(config), sim_(sim) {
     validate_config(config);
-    TFET_EXPECTS(config.cell.kind == sram::CellKind::kCmos6T ||
-                 config.cell.kind == sram::CellKind::kTfet6T);
+    sram::expect_6t(config.cell);
 
-    const double vdd = config_.cell.vdd;
+    const sram::OperationProgram hold =
+        sram::OperationProgram::hold(config_.cell);
     vdd_node_ = ckt_.add_node("vdd");
-    ckt_.add_vsource("Vvdd", vdd_node_, spice::kGround, Waveform::dc(vdd));
+    ckt_.add_vsource("Vvdd", vdd_node_, spice::kGround, hold.vdd);
 
     col_handles_.resize(config_.cols);
-    for (std::size_t c = 0; c < config_.cols; ++c) {
-        ColHandles& col = col_handles_[c];
-        const std::string id = std::to_string(c);
-        col.bl = ckt_.add_node("bl" + id);
-        col.blb = ckt_.add_node("blb" + id);
-        const spice::NodeId bld = ckt_.add_node("bl" + id + "_drv");
-        const spice::NodeId blbd = ckt_.add_node("blb" + id + "_drv");
-        col.bl_drv = bld;
-        col.blb_drv = blbd;
-        col.v_bl = &ckt_.add_vsource("Vbl" + id, bld, spice::kGround,
-                                     Waveform::dc(vdd));
-        col.v_blb = &ckt_.add_vsource("Vblb" + id, blbd, spice::kGround,
-                                      Waveform::dc(vdd));
-        col.sw_bl = &ckt_.add_switch("SWbl" + id, bld, col.bl,
-                                     config_.cell.r_precharge, 1e12,
-                                     Waveform::dc(1.0));
-        col.sw_blb = &ckt_.add_switch("SWblb" + id, blbd, col.blb,
-                                      config_.cell.r_precharge, 1e12,
-                                      Waveform::dc(1.0));
-        const double c_bl =
-            config_.c_bitline_per_row * static_cast<double>(config_.rows);
-        ckt_.add_capacitor("Cbl" + id, col.bl, spice::kGround, c_bl);
-        ckt_.add_capacitor("Cblb" + id, col.blb, spice::kGround, c_bl);
-        col.vss = ckt_.add_node("vss" + id);
-        col.v_vss = &ckt_.add_vsource("Vvss" + id, col.vss, spice::kGround,
-                                      Waveform::dc(0.0));
-    }
+    for (std::size_t c = 0; c < config_.cols; ++c)
+        add_column_rails(ckt_, config_, c, hold, col_handles_[c]);
 
-    const bool active_low = wordline_active_low(config_.cell);
     row_handles_.resize(config_.rows);
     cells_.resize(config_.rows * config_.cols);
     for (std::size_t r = 0; r < config_.rows; ++r) {
@@ -110,8 +97,7 @@ SramArray::SramArray(const ArrayConfig& config, const spice::SimContext* sim)
         const std::string rid = std::to_string(r);
         const spice::NodeId wl = ckt_.add_node("wl" + rid);
         row.wl_node = wl;
-        row.wl = &ckt_.add_vsource("Vwl" + rid, wl, spice::kGround,
-                                   Waveform::dc(active_low ? vdd : 0.0));
+        row.wl = &ckt_.add_vsource("Vwl" + rid, wl, spice::kGround, hold.wl);
         for (std::size_t c = 0; c < config_.cols; ++c) {
             CellNodes& cell = cells_[r * config_.cols + c];
             const std::string cid = rid + "_" + std::to_string(c);
@@ -137,17 +123,35 @@ const SramArray::CellNodes& SramArray::at(std::size_t row,
 }
 
 void SramArray::quiesce() {
-    const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
+    const sram::OperationProgram hold =
+        sram::OperationProgram::hold(config_.cell);
     for (RowHandles& row : row_handles_)
-        row.wl->set_waveform(Waveform::dc(active_low ? vdd : 0.0));
-    for (ColHandles& col : col_handles_) {
-        col.v_bl->set_waveform(Waveform::dc(vdd));
-        col.v_blb->set_waveform(Waveform::dc(vdd));
-        col.v_vss->set_waveform(Waveform::dc(0.0));
-        col.sw_bl->set_control(Waveform::dc(1.0));
-        col.sw_blb->set_control(Waveform::dc(1.0));
+        row.wl->set_waveform(hold.wl);
+    for (ColumnRails& col : col_handles_) {
+        col.v_bl->set_waveform(hold.bl);
+        col.v_blb->set_waveform(hold.blb);
+        col.v_vss->set_waveform(hold.vss);
+        col.sw_bl->set_control(hold.sw_bl);
+        col.sw_blb->set_control(hold.sw_blb);
     }
+}
+
+void SramArray::program(std::size_t row, std::size_t col,
+                        const AccessPrograms& ops) {
+    quiesce();
+    row_handles_[row].wl->set_waveform(ops.access.wl);
+    // Unselected columns keep their bitlines clamped at VDD, so their
+    // cells on this row see the half-select (pseudo-read) disturb. The
+    // segmented virtual grounds let the read assist protect exactly them
+    // without touching the accessed column.
+    for (std::size_t c = 0; c < config_.cols; ++c)
+        col_handles_[c].v_vss->set_waveform(c == col ? ops.access.vss
+                                                     : ops.unselected.vss);
+    ColumnRails& target = col_handles_[col];
+    target.v_bl->set_waveform(ops.access.bl);
+    target.v_blb->set_waveform(ops.access.blb);
+    target.sw_bl->set_control(ops.access.sw_bl);
+    target.sw_blb->set_control(ops.access.sw_blb);
 }
 
 bool SramArray::initialize(const std::vector<std::vector<bool>>& data) {
@@ -159,7 +163,6 @@ bool SramArray::initialize(const std::vector<std::vector<bool>>& data) {
     const spice::ScopedContext bind(sim_);
     const spice::SolverOptions opts;
     const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
 
     // Every quiesced rail is known analytically — wordlines parked,
     // bitlines precharged through closed switches, virtual grounds at 0 —
@@ -167,7 +170,7 @@ bool SramArray::initialize(const std::vector<std::vector<bool>>& data) {
     // a cold settling solve just to derive the same periphery.
     la::Vector guess(ckt_.num_unknowns(), 0.0);
     guess[vdd_node_ - 1] = vdd;
-    for (const ColHandles& col : col_handles_) {
+    for (const ColumnRails& col : col_handles_) {
         guess[col.bl - 1] = vdd;
         guess[col.blb - 1] = vdd;
         guess[col.bl_drv - 1] = vdd;
@@ -175,7 +178,7 @@ bool SramArray::initialize(const std::vector<std::vector<bool>>& data) {
         guess[col.vss - 1] = 0.0;
     }
     for (const RowHandles& row : row_handles_)
-        guess[row.wl_node - 1] = active_low ? vdd : 0.0;
+        guess[row.wl_node - 1] = row.wl->waveform().initial();
     const auto impose = [&](la::Vector& g) {
         for (std::size_t r = 0; r < config_.rows; ++r) {
             for (std::size_t c = 0; c < config_.cols; ++c) {
@@ -246,45 +249,11 @@ bool SramArray::run(double t_end, std::string* message) {
 
 OpResult SramArray::write(std::size_t row, std::size_t col, bool value) {
     TFET_EXPECTS(initialized_);
+    TFET_EXPECTS(row < config_.rows && col < config_.cols);
     OpResult res;
-    quiesce();
-
-    const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
-    const double wl_inactive = active_low ? vdd : 0.0;
-    const sram::AssistLevels lv = sram::assist_levels(
-        vdd, active_low ? 0.0 : vdd, config_.write_assist,
-        config_.assist_fraction);
-
-    const double ta_on = kSettle;
-    const double wl_start = ta_on + kAssistEdge + kAssistLead;
-    const double wl_fall = wl_start + kWlEdge + config_.write_pulse;
-    const double wl_end = wl_fall + kWlEdge;
-    const double ta_off = wl_end + 30e-12;
-    const double t_end = wl_end + kPost;
-
-    row_handles_[row].wl->set_waveform(
-        excursion(wl_inactive, lv.wl_active, wl_start, wl_fall, kWlEdge));
-    ColHandles& target = col_handles_[col];
-    target.v_vss->set_waveform(
-        excursion(0.0, lv.vss, ta_on, ta_off, kAssistEdge));
-    target.v_bl->set_waveform(excursion(vdd, value ? lv.bl_high : lv.bl_low,
-                                        ta_on, ta_off, kAssistEdge));
-    target.v_blb->set_waveform(excursion(vdd, value ? lv.bl_low : lv.bl_high,
-                                         ta_on, ta_off, kAssistEdge));
-    // Unselected columns keep their bitlines clamped at VDD, so their
-    // cells on this row see the half-select (pseudo-read) disturb. The
-    // segmented virtual grounds let the read assist protect exactly them
-    // without touching the written column.
-    if (config_.read_assist != sram::Assist::kNone) {
-        const sram::AssistLevels ra = sram::assist_levels(
-            vdd, active_low ? 0.0 : vdd, config_.read_assist,
-            config_.assist_fraction);
-        for (std::size_t c = 0; c < config_.cols; ++c)
-            if (c != col)
-                col_handles_[c].v_vss->set_waveform(
-                    excursion(0.0, ra.vss, ta_on, ta_off, kAssistEdge));
-    }
+    const AccessPrograms ops = write_programs(config_, value);
+    program(row, col, ops);
+    const double t_end = ops.access.window.t_end;
 
     if (!run(t_end, &res.message))
         return res;
@@ -297,47 +266,16 @@ OpResult SramArray::write(std::size_t row, std::size_t col, bool value) {
 
 ReadResult SramArray::read(std::size_t row, std::size_t col) {
     TFET_EXPECTS(initialized_);
+    TFET_EXPECTS(row < config_.rows && col < config_.cols);
     ReadResult res;
-    quiesce();
+    const AccessPrograms ops = read_programs(config_);
+    program(row, col, ops);
 
-    const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
-    const double wl_inactive = active_low ? vdd : 0.0;
-    const sram::AssistLevels lv =
-        sram::assist_levels(vdd, active_low ? 0.0 : vdd, config_.read_assist,
-                            config_.assist_fraction);
-
-    const double ta_on = kSettle;
-    const double wl_start = ta_on + kAssistEdge + kAssistLead;
-    const double wl_fall = wl_start + kWlEdge + config_.read_duration;
-    const double wl_end = wl_fall + kWlEdge;
-    const double ta_off = wl_end + 30e-12;
-    const double t_end = wl_end + kPost;
-
-    row_handles_[row].wl->set_waveform(
-        excursion(wl_inactive, lv.wl_active, wl_start, wl_fall, kWlEdge));
-    // During a read every column on the asserted row is disturbed, so the
-    // read assist goes on all segmented grounds.
-    for (ColHandles& ch : col_handles_)
-        ch.v_vss->set_waveform(
-            excursion(0.0, lv.vss, ta_on, ta_off, kAssistEdge));
-    ColHandles& target = col_handles_[col];
-    target.v_bl->set_waveform(
-        excursion(vdd, lv.bl_high, ta_on, ta_off, kAssistEdge));
-    target.v_blb->set_waveform(
-        excursion(vdd, lv.bl_high, ta_on, ta_off, kAssistEdge));
-    // Float the target column's bitlines just before the wordline asserts.
-    const Waveform open = Waveform::pwl(
-        {{wl_start - 4e-12, 1.0}, {wl_start - 2e-12, 0.0}});
-    target.sw_bl->set_control(open);
-    target.sw_blb->set_control(open);
-
-    if (!run(t_end, &res.message))
+    if (!run(ops.access.window.t_end, &res.message))
         return res;
 
-    // Sense the differential at the end of the access window. The state_
-    // vector holds the settled aftermath, so sample via a fresh transient
-    // record? Not needed: sample the stored value consistency instead.
+    // Sense the differential the floated bitlines settled to at t_end.
+    const ColumnRails& target = col_handles_[col];
     const double dbl = spice::branch_voltage(state_, target.bl, target.blb);
     res.differential = dbl;
     res.value = dbl > 0.0;

@@ -21,6 +21,7 @@
 #include "spice/solver_info.hpp"
 #include "sram/assist.hpp"
 #include "sram/cell.hpp"
+#include "sram/operations.hpp"
 
 namespace tfetsram::array {
 
@@ -67,6 +68,44 @@ using SolverInfo = spice::SolverInfo;
 /// (or empty) MNA system with a far less actionable failure downstream.
 void validate_config(const ArrayConfig& config);
 
+/// The rails of one column, shared by both array engines: the bitline
+/// pair carrying the whole column's wire capacitance, each line's
+/// precharge driver behind its switch, and the column's segmented virtual
+/// ground.
+struct ColumnRails {
+    spice::NodeId bl = 0;
+    spice::NodeId blb = 0;
+    spice::NodeId bl_drv = 0;  ///< precharge driver behind sw_bl
+    spice::NodeId blb_drv = 0; ///< precharge driver behind sw_blb
+    spice::NodeId vss = 0;     ///< segmented virtual ground of this column
+    spice::VoltageSource* v_bl = nullptr;
+    spice::VoltageSource* v_blb = nullptr;
+    spice::VoltageSource* v_vss = nullptr;
+    spice::TimedSwitch* sw_bl = nullptr;
+    spice::TimedSwitch* sw_blb = nullptr;
+};
+
+/// Add column `c`'s rails to `ckt`, driven at the `hold` program's levels,
+/// and record them in `rails`. Both engines add the same nodes and
+/// elements in the same order, so their MNA numbering agrees.
+void add_column_rails(spice::Circuit& ckt, const ArrayConfig& config,
+                      std::size_t c, const sram::OperationProgram& hold,
+                      ColumnRails& rails);
+
+/// The two programs of one array access. `access` drives the accessed
+/// row's wordline and the target column's virtual ground, bitlines and
+/// precharge switches. `unselected` drives every other column's virtual
+/// ground: the row's half-selected cells are pseudo-read for the whole
+/// access, so they take the read assist, on the access's own timeline.
+/// The array's shared VDD stays at its nominal level, whatever the assist.
+struct AccessPrograms {
+    sram::OperationProgram access;
+    sram::OperationProgram unselected;
+};
+AccessPrograms write_programs(const ArrayConfig& config, bool value);
+/// Reads float the target column's precharged bitlines.
+AccessPrograms read_programs(const ArrayConfig& config);
+
 class SramArray {
 public:
     /// Build the array circuit. `sim` (non-owning, optional) pins every
@@ -111,24 +150,15 @@ private:
         spice::NodeId wl_node = 0;
         spice::VoltageSource* wl = nullptr;
     };
-    struct ColHandles {
-        spice::NodeId bl = 0;
-        spice::NodeId blb = 0;
-        spice::NodeId bl_drv = 0;  ///< precharge driver behind sw_bl
-        spice::NodeId blb_drv = 0; ///< precharge driver behind sw_blb
-        spice::NodeId vss = 0; ///< segmented virtual ground of this column
-        spice::VoltageSource* v_bl = nullptr;
-        spice::VoltageSource* v_blb = nullptr;
-        spice::VoltageSource* v_vss = nullptr;
-        spice::TimedSwitch* sw_bl = nullptr;
-        spice::TimedSwitch* sw_blb = nullptr;
-    };
     struct CellNodes {
         spice::NodeId q = 0;
         spice::NodeId qb = 0;
     };
 
     void quiesce(); ///< reset all sources to hold levels
+    /// Quiesce, then fan `ops` out over the array for an access to
+    /// (row, col).
+    void program(std::size_t row, std::size_t col, const AccessPrograms& ops);
     [[nodiscard]] const CellNodes& at(std::size_t row, std::size_t col) const;
     [[nodiscard]] bool run(double t_end, std::string* message);
 
@@ -137,7 +167,7 @@ private:
     spice::Circuit ckt_;
     spice::NodeId vdd_node_ = 0;
     std::vector<RowHandles> row_handles_;
-    std::vector<ColHandles> col_handles_;
+    std::vector<ColumnRails> col_handles_;
     std::vector<CellNodes> cells_; // row-major
     la::Vector state_;
     bool initialized_ = false;

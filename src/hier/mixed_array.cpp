@@ -13,44 +13,13 @@ namespace tfetsram::hier {
 
 namespace {
 
-using spice::Waveform;
-
-// Operation timing constants of the flat driver (array/array.cpp). They
-// must stay identical in both engines — the differential tests compare
-// mixed and flat outcomes on the same waveform program, so any drift here
-// shows up as a voltage mismatch there.
-constexpr double kSettle = 50e-12;
-constexpr double kAssistLead = 500e-12;
-constexpr double kAssistEdge = 10e-12;
-constexpr double kWlEdge = 5e-12;
-constexpr double kPost = 400e-12;
-constexpr double kAssistLag = 30e-12;
-
-/// Base level until t_on, ramp to active, hold until t_off, ramp back.
-Waveform excursion(double base, double active, double t_on, double t_off,
-                   double edge) {
-    if (base == active)
-        return Waveform::dc(base);
-    return Waveform::pwl({{t_on, base},
-                          {t_on + edge, active},
-                          {t_off, active},
-                          {t_off + edge, base}});
-}
-
-bool wordline_active_low(const sram::CellConfig& cell) {
-    return cell.kind == sram::CellKind::kTfet6T &&
-           sram::access_is_ptype(cell.access);
-}
-
-} // namespace
-
-namespace {
-
-// Reject degenerate configurations before any member (the Partitioner in
-// particular) consumes them, so the caller sees kInvalidConfig rather
-// than a contract violation from an internal component.
+// Reject degenerate configurations and non-6T cells before any member
+// (the Partitioner in particular) consumes them, so the caller sees the
+// same kInvalidConfig or contract violation as from the flat driver
+// rather than a failure inside an internal component.
 const array::ArrayConfig& validated(const array::ArrayConfig& config) {
     array::validate_config(config);
+    sram::expect_6t(config.cell);
     return config;
 }
 
@@ -61,8 +30,6 @@ MixedArray::MixedArray(const array::ArrayConfig& config, HierConfig hier,
     : config_(validated(config)), hier_(hier), sim_(sim),
       partitioner_(config.rows, config.cols, hier.partition),
       model_(config.cell, sim) {
-    TFET_EXPECTS(config.cell.kind == sram::CellKind::kCmos6T ||
-                 config.cell.kind == sram::CellKind::kTfet6T);
     model_.set_extraction_dv(hier_.extraction_dv);
     store_.resize(config_.rows * config_.cols);
 }
@@ -134,12 +101,11 @@ std::unique_ptr<MixedArray::Partition>
 MixedArray::build_partition(const PartitionPlan& plan) {
     auto part = std::make_unique<Partition>();
     spice::Circuit& ckt = part->ckt;
-    const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
+    const sram::OperationProgram hold =
+        sram::OperationProgram::hold(config_.cell);
 
     part->vdd_node = ckt.add_node("vdd");
-    ckt.add_vsource("Vvdd", part->vdd_node, spice::kGround,
-                    Waveform::dc(vdd));
+    ckt.add_vsource("Vvdd", part->vdd_node, spice::kGround, hold.vdd);
 
     // Every column keeps its full rail infrastructure — bitline pair with
     // the whole column's wire capacitance, precharge switches, segmented
@@ -148,30 +114,10 @@ MixedArray::build_partition(const PartitionPlan& plan) {
     part->cols.resize(config_.cols);
     for (std::size_t c = 0; c < config_.cols; ++c) {
         ColHandles& col = part->cols[c];
-        const std::string id = std::to_string(c);
-        col.bl = ckt.add_node("bl" + id);
-        col.blb = ckt.add_node("blb" + id);
-        const spice::NodeId bld = ckt.add_node("bl" + id + "_drv");
-        const spice::NodeId blbd = ckt.add_node("blb" + id + "_drv");
-        col.v_bl = &ckt.add_vsource("Vbl" + id, bld, spice::kGround,
-                                    Waveform::dc(vdd));
-        col.v_blb = &ckt.add_vsource("Vblb" + id, blbd, spice::kGround,
-                                     Waveform::dc(vdd));
-        col.sw_bl = &ckt.add_switch("SWbl" + id, bld, col.bl,
-                                    config_.cell.r_precharge, 1e12,
-                                    Waveform::dc(1.0));
-        col.sw_blb = &ckt.add_switch("SWblb" + id, blbd, col.blb,
-                                     config_.cell.r_precharge, 1e12,
-                                     Waveform::dc(1.0));
-        const double c_bl =
-            config_.c_bitline_per_row * static_cast<double>(config_.rows);
-        ckt.add_capacitor("Cbl" + id, col.bl, spice::kGround, c_bl);
-        ckt.add_capacitor("Cblb" + id, col.blb, spice::kGround, c_bl);
-        col.vss = ckt.add_node("vss" + id);
-        col.v_vss = &ckt.add_vsource("Vvss" + id, col.vss, spice::kGround,
-                                     Waveform::dc(0.0));
+        array::add_column_rails(ckt, config_, c, hold, col);
         // The latched population's lumped leakage; programmed per
         // operation by program_loads().
+        const std::string id = std::to_string(c);
         col.load_bl = &ckt.add_linearized_load("Lbl" + id, col.bl);
         col.load_blb = &ckt.add_linearized_load("Lblb" + id, col.blb);
     }
@@ -186,8 +132,7 @@ MixedArray::build_partition(const PartitionPlan& plan) {
         const std::string rid = std::to_string(r);
         wl_node[r] = ckt.add_node("wl" + rid);
         part->wl[r] = &ckt.add_vsource("Vwl" + rid, wl_node[r],
-                                       spice::kGround,
-                                       Waveform::dc(active_low ? vdd : 0.0));
+                                       spice::kGround, hold.wl);
     }
 
     for (const PromotedCell& p : plan.promoted) {
@@ -209,45 +154,22 @@ MixedArray::build_partition(const PartitionPlan& plan) {
     return part;
 }
 
-MixedArray::ColumnBias MixedArray::column_bias(const PartitionPlan& plan,
-                                               std::size_t col,
-                                               bool value) const {
+MixedArray::ColumnBias
+MixedArray::column_bias(const array::AccessPrograms& ops, bool target,
+                        bool is_write, bool value) const {
     const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
-    const double wl_active = active_low ? 0.0 : vdd;
-    ColumnBias b;
-    b.v_bl = vdd;
-    b.v_blb = vdd;
-    b.vss = 0.0;
-    if (plan.is_write) {
-        if (col == plan.access_col) {
-            const sram::AssistLevels wa = sram::assist_levels(
-                vdd, wl_active, config_.write_assist,
-                config_.assist_fraction);
-            b.vss = wa.vss;
-            b.v_bl = value ? wa.bl_high : wa.bl_low;
-            b.v_blb = value ? wa.bl_low : wa.bl_high;
-        } else if (config_.read_assist != sram::Assist::kNone) {
-            const sram::AssistLevels ra = sram::assist_levels(
-                vdd, wl_active, config_.read_assist,
-                config_.assist_fraction);
-            b.vss = ra.vss;
-        }
-    } else {
-        const sram::AssistLevels ra =
-            sram::assist_levels(vdd, wl_active, config_.read_assist,
-                                config_.assist_fraction);
-        b.vss = ra.vss;
-        if (col == plan.access_col) {
-            b.v_bl = ra.bl_high;
-            b.v_blb = ra.bl_high;
-        }
-    }
-    return b;
+    if (!target)
+        return {ops.unselected.levels.vss, vdd, vdd};
+    const sram::AssistLevels& lv = ops.access.levels;
+    if (!is_write)
+        return {lv.vss, lv.bl_high, lv.bl_high};
+    return {lv.vss, value ? lv.bl_high : lv.bl_low,
+            value ? lv.bl_low : lv.bl_high};
 }
 
 bool MixedArray::program_loads(Partition& part, const PartitionPlan& plan,
-                               bool value, std::string* message) {
+                               const array::AccessPrograms& ops, bool value,
+                               std::string* message) {
     for (std::size_t c = 0; c < config_.cols; ++c) {
         ColHandles& col = part.cols[c];
         std::size_t n0 = 0;
@@ -261,7 +183,8 @@ bool MixedArray::program_loads(Partition& part, const PartitionPlan& plan,
                 ++n0;
         }
         col.latched_cells = n0 + n1;
-        const ColumnBias b = column_bias(plan, c, value);
+        const ColumnBias b =
+            column_bias(ops, c == plan.access_col, plan.is_write, value);
         col.v0_bl = b.v_bl;
         col.v0_blb = b.v_blb;
         if (col.latched_cells == 0) {
@@ -300,76 +223,18 @@ bool MixedArray::program_loads(Partition& part, const PartitionPlan& plan,
     return true;
 }
 
-double MixedArray::program_write(Partition& part, const PartitionPlan& plan,
-                                 bool value, double* wl_start_out) const {
-    const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
-    const double wl_inactive = active_low ? vdd : 0.0;
-    const sram::AssistLevels lv = sram::assist_levels(
-        vdd, active_low ? 0.0 : vdd, config_.write_assist,
-        config_.assist_fraction);
-
-    const double ta_on = kSettle;
-    const double wl_start = ta_on + kAssistEdge + kAssistLead;
-    const double wl_fall = wl_start + kWlEdge + config_.write_pulse;
-    const double wl_end = wl_fall + kWlEdge;
-    const double ta_off = wl_end + kAssistLag;
-    const double t_end = wl_end + kPost;
-    *wl_start_out = wl_start;
-
-    part.wl[plan.access_row]->set_waveform(
-        excursion(wl_inactive, lv.wl_active, wl_start, wl_fall, kWlEdge));
-    ColHandles& target = part.cols[plan.access_col];
-    target.v_vss->set_waveform(
-        excursion(0.0, lv.vss, ta_on, ta_off, kAssistEdge));
-    target.v_bl->set_waveform(excursion(vdd, value ? lv.bl_high : lv.bl_low,
-                                        ta_on, ta_off, kAssistEdge));
-    target.v_blb->set_waveform(excursion(vdd, value ? lv.bl_low : lv.bl_high,
-                                         ta_on, ta_off, kAssistEdge));
-    if (config_.read_assist != sram::Assist::kNone) {
-        const sram::AssistLevels ra = sram::assist_levels(
-            vdd, active_low ? 0.0 : vdd, config_.read_assist,
-            config_.assist_fraction);
-        for (std::size_t c = 0; c < config_.cols; ++c)
-            if (c != plan.access_col)
-                part.cols[c].v_vss->set_waveform(
-                    excursion(0.0, ra.vss, ta_on, ta_off, kAssistEdge));
-    }
-    return t_end;
-}
-
-double MixedArray::program_read(Partition& part, const PartitionPlan& plan,
-                                double* wl_start_out) const {
-    const double vdd = config_.cell.vdd;
-    const bool active_low = wordline_active_low(config_.cell);
-    const double wl_inactive = active_low ? vdd : 0.0;
-    const sram::AssistLevels lv =
-        sram::assist_levels(vdd, active_low ? 0.0 : vdd, config_.read_assist,
-                            config_.assist_fraction);
-
-    const double ta_on = kSettle;
-    const double wl_start = ta_on + kAssistEdge + kAssistLead;
-    const double wl_fall = wl_start + kWlEdge + config_.read_duration;
-    const double wl_end = wl_fall + kWlEdge;
-    const double ta_off = wl_end + kAssistLag;
-    const double t_end = wl_end + kPost;
-    *wl_start_out = wl_start;
-
-    part.wl[plan.access_row]->set_waveform(
-        excursion(wl_inactive, lv.wl_active, wl_start, wl_fall, kWlEdge));
+void MixedArray::program(Partition& part, const PartitionPlan& plan,
+                         const array::AccessPrograms& ops) const {
+    part.wl[plan.access_row]->set_waveform(ops.access.wl);
     for (std::size_t c = 0; c < config_.cols; ++c)
-        part.cols[c].v_vss->set_waveform(
-            excursion(0.0, lv.vss, ta_on, ta_off, kAssistEdge));
+        part.cols[c].v_vss->set_waveform(c == plan.access_col
+                                             ? ops.access.vss
+                                             : ops.unselected.vss);
     ColHandles& target = part.cols[plan.access_col];
-    target.v_bl->set_waveform(
-        excursion(vdd, lv.bl_high, ta_on, ta_off, kAssistEdge));
-    target.v_blb->set_waveform(
-        excursion(vdd, lv.bl_high, ta_on, ta_off, kAssistEdge));
-    const Waveform open = Waveform::pwl(
-        {{wl_start - 4e-12, 1.0}, {wl_start - 2e-12, 0.0}});
-    target.sw_bl->set_control(open);
-    target.sw_blb->set_control(open);
-    return t_end;
+    target.v_bl->set_waveform(ops.access.bl);
+    target.v_blb->set_waveform(ops.access.blb);
+    target.sw_bl->set_control(ops.access.sw_bl);
+    target.sw_blb->set_control(ops.access.sw_blb);
 }
 
 bool MixedArray::solve_partition_dc(Partition& part, std::string* message) {
@@ -493,6 +358,9 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
     trace_.clear();
     queue_.clear();
     std::vector<bool> monitor(config_.cols, true);
+    const array::AccessPrograms ops = plan.is_write
+                                          ? array::write_programs(config_, value)
+                                          : array::read_programs(config_);
     const std::size_t max_attempts =
         partitioner_.policy().max_guard_retries + 1;
 
@@ -523,12 +391,10 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
             std::max(stats_.max_active_unknowns, unknowns);
         spice::solver_stats().hier_active_unknowns = unknowns;
 
-        if (!program_loads(*part, plan, value, &er.message))
+        if (!program_loads(*part, plan, ops, value, &er.message))
             return er;
-        double wl_start = 0.0;
-        const double t_end =
-            plan.is_write ? program_write(*part, plan, value, &wl_start)
-                          : program_read(*part, plan, &wl_start);
+        program(*part, plan, ops);
+        const double t_end = ops.access.window.t_end;
 
         // This attempt's level transitions, in timeline order: lumped
         // loads stamp at t=0 (as do guard-promoted sentinels, present
@@ -542,9 +408,9 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
         for (const PromotedCell& p : plan.promoted) {
             double t = 0.0;
             if (p.reason == PromoteReason::kWordlineEdge)
-                t = wl_start;
+                t = ops.access.window.wl_start;
             else if (p.reason == PromoteReason::kBitlineExcursion)
-                t = kSettle;
+                t = ops.access.assist_on;
             queue_.push({t, 0, EventKind::kPromote, p.ref.row, p.ref.col,
                          p.reason});
         }

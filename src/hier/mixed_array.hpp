@@ -108,15 +108,7 @@ public:
     [[nodiscard]] std::size_t partition_unknowns() const;
 
 private:
-    struct ColHandles {
-        spice::NodeId bl = 0;
-        spice::NodeId blb = 0;
-        spice::NodeId vss = 0;
-        spice::VoltageSource* v_bl = nullptr;
-        spice::VoltageSource* v_blb = nullptr;
-        spice::VoltageSource* v_vss = nullptr;
-        spice::TimedSwitch* sw_bl = nullptr;
-        spice::TimedSwitch* sw_blb = nullptr;
+    struct ColHandles : array::ColumnRails {
         spice::LinearizedLoad* load_bl = nullptr;
         spice::LinearizedLoad* load_blb = nullptr;
         std::size_t latched_cells = 0;
@@ -161,19 +153,21 @@ private:
                                          std::size_t col) const;
     [[nodiscard]] std::unique_ptr<Partition>
     build_partition(const PartitionPlan& plan);
-    /// `value` matters only for write plans (the target column's bitline
-    /// excursion levels depend on the written polarity).
-    [[nodiscard]] ColumnBias column_bias(const PartitionPlan& plan,
-                                         std::size_t col, bool value) const;
+    /// The active levels of the programs' rails on the target column or
+    /// an unselected one. `value` matters only for writes (the target
+    /// column's bitline levels depend on the written polarity).
+    [[nodiscard]] ColumnBias column_bias(const array::AccessPrograms& ops,
+                                         bool target, bool is_write,
+                                         bool value) const;
     /// Stamp the lumped loads of every column; false (with message) when
     /// an extraction failed to converge.
     bool program_loads(Partition& part, const PartitionPlan& plan,
-                       bool value, std::string* message);
-    /// Program the op waveforms (flat-driver mirror) and return t_end.
-    double program_write(Partition& part, const PartitionPlan& plan,
-                         bool value, double* wl_start) const;
-    double program_read(Partition& part, const PartitionPlan& plan,
-                        double* wl_start) const;
+                       const array::AccessPrograms& ops, bool value,
+                       std::string* message);
+    /// Fan `ops` out over the partition, as the flat driver does over the
+    /// whole array.
+    void program(Partition& part, const PartitionPlan& plan,
+                 const array::AccessPrograms& ops) const;
     [[nodiscard]] bool solve_partition_dc(Partition& part,
                                           std::string* message);
     AttemptOutcome run_attempt(Partition& part, double t_end,

@@ -33,23 +33,25 @@ const char* to_string(CellKind kind) {
 }
 
 double SramCell::wl_active_level() const {
-    const bool ptype =
-        spec_of(*this).wl_follows_access && access_is_ptype(config.access);
-    return ptype ? 0.0 : config.vdd;
+    return wordline_active_low(spec_of(*this), config.access) ? 0.0
+                                                              : config.vdd;
 }
 
 double SramCell::wl_inactive_level() const {
-    const bool ptype =
-        spec_of(*this).wl_follows_access && access_is_ptype(config.access);
-    return ptype ? config.vdd : 0.0;
+    return wordline_active_low(spec_of(*this), config.access) ? config.vdd
+                                                              : 0.0;
+}
+
+void expect_6t(const CellConfig& config) {
+    TFET_EXPECTS(config.kind == CellKind::kCmos6T ||
+                 config.kind == CellKind::kTfet6T);
 }
 
 std::vector<spice::Transistor*> build_6t_devices(spice::Circuit& ckt,
                                                  const CellConfig& config,
                                                  const CellPorts& p,
                                                  const std::string& prefix) {
-    TFET_EXPECTS(config.kind == CellKind::kCmos6T ||
-                 config.kind == CellKind::kTfet6T);
+    expect_6t(config);
     const bool tfet = config.kind == CellKind::kTfet6T;
     const auto& n_model = tfet ? config.models.ntfet : config.models.nmos;
     const auto& p_model = tfet ? config.models.ptfet : config.models.pmos;

@@ -153,6 +153,11 @@ struct CellPorts {
     spice::NodeId vss = 0;
 };
 
+/// Contract of every 6T-only builder (build_6t_devices, both array
+/// engines): config.kind is kCmos6T or kTfet6T. Throws contract_violation
+/// otherwise.
+void expect_6t(const CellConfig& config);
+
 /// Instantiate the six transistors and storage-node capacitors of one
 /// kCmos6T / kTfet6T cell into an existing circuit. Device labels get
 /// `prefix` prepended. Returns the cell's transistors (for Monte-Carlo or

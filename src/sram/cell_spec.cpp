@@ -451,9 +451,14 @@ const CellSpec& find_spec(const std::string& id) {
     throw std::invalid_argument("find_spec: unknown cell spec '" + id + "'");
 }
 
-const CellSpec& spec_of(const SramCell& cell) {
-    return cell.config.spec != nullptr ? *cell.config.spec
-                                       : builtin_spec(cell.config.kind);
+const CellSpec& spec_of(const CellConfig& config) {
+    return config.spec != nullptr ? *config.spec : builtin_spec(config.kind);
+}
+
+const CellSpec& spec_of(const SramCell& cell) { return spec_of(cell.config); }
+
+bool wordline_active_low(const CellSpec& spec, AccessDevice access) {
+    return spec.wl_follows_access && access_is_ptype(access);
 }
 
 SramCell instantiate_spec(const CellSpec& spec, const CellConfig& config,
@@ -541,11 +546,11 @@ SramCell instantiate_spec(const CellSpec& spec, const CellConfig& config,
             break;
         }
         case SpecElement::Kind::kWordline: {
-            const bool ptype = spec.wl_follows_access &&
-                               access_is_ptype(config.access);
             auto& src = ckt.add_vsource(
                 el.label, ckt.node(el.a), spice::kGround,
-                spice::Waveform::dc(ptype ? config.vdd : 0.0));
+                spice::Waveform::dc(
+                    wordline_active_low(spec, config.access) ? config.vdd
+                                                             : 0.0));
             if (el.a == spec.port_wl)
                 cell.v_wl = &src;
             break;

@@ -173,8 +173,15 @@ SramCell instantiate_spec(const CellSpec& spec, const CellConfig& config,
 /// no variable-device list (Monte-Carlo needs a built-in spec).
 CellSpec load_cell_spec(const std::string& path);
 
-/// The spec governing a built cell: config.spec when set, otherwise the
-/// built-in spec of config.kind (so legacy-built cells keep working).
+/// The spec governing a configuration (or a cell built from one):
+/// config.spec when set, otherwise the built-in spec of config.kind (so
+/// legacy configs keep working).
+const CellSpec& spec_of(const CellConfig& config);
 const CellSpec& spec_of(const SramCell& cell);
+
+/// True when the wordline asserts low: the spec's wordline follows the
+/// access device (only the configurable 6T TFET cell) and that device is
+/// p-type. Every other wordline is active-high.
+bool wordline_active_low(const CellSpec& spec, AccessDevice access);
 
 } // namespace tfetsram::sram

@@ -1,5 +1,7 @@
 #include "sram/operations.hpp"
 
+#include <utility>
+
 #include "spice/context.hpp"
 #include "spice/dc.hpp"
 #include "spice/solution.hpp"
@@ -24,13 +26,6 @@ Waveform excursion(double base, double active, double t_on, double t_off,
                           {t_off + edge, base}});
 }
 
-/// Hold level of the write bitlines, from the spec's contract: read-port
-/// topologies ([14]'s 7T, the 8T/9T stacks) clamp their write bitlines low
-/// precisely to keep their outward access devices out of reverse bias.
-double bitline_hold_level(const SramCell& cell) {
-    return spec_of(cell).bl_hold_frac * cell.config.vdd;
-}
-
 /// Switch control that opens (1 -> 0) shortly before t_open.
 Waveform open_before(double t_open) {
     const double lead = 4e-12;
@@ -38,7 +33,182 @@ Waveform open_before(double t_open) {
     return Waveform::pwl({{t_open - lead, 1.0}, {t_open - lead / 2.0, 0.0}});
 }
 
+/// The instants of an access whose wordline stays asserted for `width`:
+/// the assist moves first, the wordline pulses, the assist releases
+/// assist_lag after the wordline closes.
+struct Timeline {
+    OperationWindow window;
+    double assist_on = 0.0;
+    double wl_fall = 0.0; ///< wordline starts its releasing edge
+    double assist_off = 0.0;
+    const OperationTiming& timing;
+
+    Timeline(double width, const OperationTiming& t) : timing(t) {
+        OperationWindow& w = window;
+        assist_on = t.t_settle;
+        w.wl_start = assist_on + t.assist_edge + t.assist_lead;
+        w.wl_mid = w.wl_start + t.wl_edge / 2.0;
+        wl_fall = w.wl_start + t.wl_edge + width;
+        w.wl_end = wl_fall + t.wl_edge;
+        assist_off = w.wl_end + t.assist_lag;
+        w.t_end = w.wl_end + t.t_post;
+    }
+
+    /// A rail or bitline that moves with the assist.
+    [[nodiscard]] Waveform assisted(double base, double active) const {
+        return excursion(base, active, assist_on, assist_off,
+                         timing.assist_edge);
+    }
+    /// A wordline pulse.
+    [[nodiscard]] Waveform pulsed(double base, double active) const {
+        return excursion(base, active, window.wl_start, wl_fall,
+                         timing.wl_edge);
+    }
+};
+
+/// Hold everywhere, then what every access shares: the window, the
+/// assist's levels, and the supply rails moving with the assist.
+OperationProgram begin_access(const CellConfig& config, const Timeline& tl,
+                              Assist assist, double fraction) {
+    OperationProgram p = OperationProgram::hold(config);
+    p.levels = assist_levels(config.vdd, p.levels.wl_active, assist, fraction);
+    p.window = tl.window;
+    p.assist_on = tl.assist_on;
+    p.vdd = tl.assisted(config.vdd, p.levels.vdd);
+    p.vss = tl.assisted(0.0, p.levels.vss);
+    return p;
+}
+
+void set(spice::VoltageSource* source, Waveform& w) {
+    if (source != nullptr)
+        source->set_waveform(std::move(w));
+}
+
+void set(spice::TimedSwitch* sw, Waveform& w) {
+    if (sw != nullptr)
+        sw->set_control(std::move(w));
+}
+
+/// Move the program onto every handle the cell has. Deck-built cells may
+/// omit individual drivers (a deck that ties VSS straight to ground has no
+/// Vvss).
+void apply(OperationProgram&& p, SramCell& cell) {
+    set(cell.v_vdd, p.vdd);
+    set(cell.v_vss, p.vss);
+    set(cell.v_wl, p.wl);
+    set(cell.v_bl, p.bl);
+    set(cell.v_blb, p.blb);
+    set(cell.sw_bl, p.sw_bl);
+    set(cell.sw_blb, p.sw_blb);
+    if (p.rwl)
+        set(cell.v_rwl, *p.rwl);
+    if (p.rbl)
+        set(cell.v_rbl, *p.rbl);
+    if (p.sw_rbl)
+        set(cell.sw_rbl, *p.sw_rbl);
+}
+
 } // namespace
+
+OperationProgram OperationProgram::hold(const CellConfig& config) {
+    const CellSpec& spec = spec_of(config);
+    const double vdd = config.vdd;
+    const bool active_low = wordline_active_low(spec, config.access);
+    // Read-port topologies ([14]'s 7T, the 8T/9T stacks) clamp their
+    // write bitlines low precisely to keep their outward access devices
+    // out of reverse bias (CellSpec::bl_hold_frac).
+    const double bl_hold = spec.bl_hold_frac * vdd;
+    OperationProgram p{
+        .vdd = Waveform::dc(vdd),
+        .vss = Waveform::dc(0.0),
+        .wl = Waveform::dc(active_low ? vdd : 0.0),
+        .bl = Waveform::dc(bl_hold),
+        .blb = Waveform::dc(bl_hold),
+        .sw_bl = Waveform::dc(1.0),
+        .sw_blb = Waveform::dc(1.0),
+        .levels = assist_levels(vdd, active_low ? 0.0 : vdd, Assist::kNone,
+                                0.0),
+    };
+    if (spec.has_read_port()) {
+        p.rwl = Waveform::dc((1.0 - spec.rwl_active_frac) * vdd);
+        p.rbl = Waveform::dc(vdd);
+        p.sw_rbl = Waveform::dc(1.0);
+    }
+    return p;
+}
+
+OperationProgram OperationProgram::write(const CellConfig& config, bool value,
+                                         double pulse_width, Assist assist,
+                                         double fraction,
+                                         const OperationTiming& timing) {
+    TFET_EXPECTS(pulse_width > 0.0);
+    TFET_EXPECTS(assist == Assist::kNone || is_write_assist(assist));
+    const CellSpec& spec = spec_of(config);
+    // Some topologies (the asymmetric cell of [15]) bake an assist into
+    // their write operation; writes always use it.
+    if (spec.implicit_write_assist != Assist::kNone && assist == Assist::kNone)
+        assist = spec.implicit_write_assist;
+    if (spec.single_sided_write)
+        TFET_EXPECTS(value == spec.preferred_write);
+
+    const Timeline tl(pulse_width, timing);
+    OperationProgram p = begin_access(config, tl, assist, fraction);
+    const AssistLevels& lv = p.levels;
+    p.wl = tl.pulsed(p.wl.initial(), lv.wl_active);
+    // Bitlines switch from their hold level to write levels alongside the
+    // assist and return after.
+    p.bl = tl.assisted(p.bl.initial(), value ? lv.bl_high : lv.bl_low);
+    p.blb = tl.assisted(p.blb.initial(), value ? lv.bl_low : lv.bl_high);
+    return p;
+}
+
+OperationProgram OperationProgram::read(const CellConfig& config,
+                                        double read_duration, Assist assist,
+                                        double fraction,
+                                        const OperationTiming& timing,
+                                        bool float_bitlines) {
+    TFET_EXPECTS(read_duration > 0.0);
+    TFET_EXPECTS(assist == Assist::kNone || is_read_assist(assist));
+    const CellSpec& spec = spec_of(config);
+    const double vdd = config.vdd;
+    const Timeline tl(read_duration, timing);
+    OperationProgram p = begin_access(config, tl, assist, fraction);
+    const AssistLevels& lv = p.levels;
+    const double wl_start = tl.window.wl_start;
+
+    switch (spec.read_style) {
+    case ReadStyle::kDifferential:
+        p.wl = tl.pulsed(p.wl.initial(), lv.wl_active);
+        // Both bitlines precharged (possibly to a lowered level per the
+        // bitline-lowering RA).
+        p.bl = tl.assisted(vdd, lv.bl_high);
+        p.blb = tl.assisted(vdd, lv.bl_high);
+        if (float_bitlines) {
+            p.sw_bl = open_before(wl_start);
+            p.sw_blb = open_before(wl_start);
+        }
+        break;
+    case ReadStyle::kReadPort:
+        // Write wordline stays off; the read wordline swings to its active
+        // level — low for the 7T's source-side read buffer
+        // (rwl_active_frac = 0), high for the 8T/9T gated stacks.
+        p.rwl = tl.pulsed((1.0 - spec.rwl_active_frac) * vdd,
+                          spec.rwl_active_frac * vdd);
+        p.rbl = tl.assisted(vdd, lv.bl_high);
+        if (float_bitlines)
+            p.sw_rbl = open_before(wl_start);
+        break;
+    case ReadStyle::kSingleSidedBlb:
+        // Read through the inward device on BLB: it pulls qb (storing 0)
+        // up while BLB droops.
+        p.wl = tl.pulsed(p.wl.initial(), lv.wl_active);
+        p.blb = tl.assisted(vdd, lv.bl_high);
+        if (float_bitlines)
+            p.sw_blb = open_before(wl_start);
+        break;
+    }
+    return p;
+}
 
 bool preferred_write_value(CellKind kind) {
     return builtin_spec(kind).preferred_write;
@@ -51,180 +221,41 @@ bool preferred_write_value(const SramCell& cell) {
 }
 
 void program_hold(SramCell& cell) {
-    const CellSpec& spec = spec_of(cell);
-    const double vdd = cell.config.vdd;
-    // Deck-built cells may omit individual drivers (a deck that ties VSS
-    // straight to ground has no Vvss) — program whatever handles exist.
-    if (cell.v_vdd != nullptr)
-        cell.v_vdd->set_waveform(Waveform::dc(vdd));
-    if (cell.v_vss != nullptr)
-        cell.v_vss->set_waveform(Waveform::dc(0.0));
-    if (cell.v_wl != nullptr)
-        cell.v_wl->set_waveform(Waveform::dc(cell.wl_inactive_level()));
-    if (cell.v_bl != nullptr)
-        cell.v_bl->set_waveform(Waveform::dc(bitline_hold_level(cell)));
-    if (cell.v_blb != nullptr)
-        cell.v_blb->set_waveform(Waveform::dc(bitline_hold_level(cell)));
-    if (cell.sw_bl != nullptr)
-        cell.sw_bl->set_control(Waveform::dc(1.0));
-    if (cell.sw_blb != nullptr)
-        cell.sw_blb->set_control(Waveform::dc(1.0));
-    if (spec.has_read_port()) {
-        if (cell.v_rwl != nullptr)
-            cell.v_rwl->set_waveform(
-                Waveform::dc((1.0 - spec.rwl_active_frac) * vdd));
-        if (cell.v_rbl != nullptr)
-            cell.v_rbl->set_waveform(Waveform::dc(vdd));
-        if (cell.sw_rbl != nullptr)
-            cell.sw_rbl->set_control(Waveform::dc(1.0));
-    }
+    apply(OperationProgram::hold(cell.config), cell);
 }
 
 OperationWindow program_write(SramCell& cell, bool value, double pulse_width,
                               Assist assist, double fraction,
                               const OperationTiming& timing) {
-    TFET_EXPECTS(pulse_width > 0.0);
-    TFET_EXPECTS(assist == Assist::kNone || is_write_assist(assist));
-    program_hold(cell);
-
-    const CellConfig& cfg = cell.config;
-    const CellSpec& spec = spec_of(cell);
-    // Some topologies (the asymmetric cell of [15]) bake an assist into
-    // their write operation; writes always use it.
-    if (spec.implicit_write_assist != Assist::kNone && assist == Assist::kNone)
-        assist = spec.implicit_write_assist;
-    if (spec.single_sided_write)
-        TFET_EXPECTS(value == spec.preferred_write);
-
-    const double wl_active = cell.wl_active_level();
-    const double wl_inactive = cell.wl_inactive_level();
-    const AssistLevels lv = assist_levels(cfg.vdd, wl_active, assist, fraction);
-
-    OperationWindow w;
-    const double ta_on = timing.t_settle;
-    w.wl_start = ta_on + timing.assist_edge + timing.assist_lead;
-    w.wl_mid = w.wl_start + timing.wl_edge / 2.0;
-    const double wl_fall_start = w.wl_start + timing.wl_edge + pulse_width;
-    w.wl_end = wl_fall_start + timing.wl_edge;
-    const double ta_off = w.wl_end + timing.assist_lag;
-    w.t_end = w.wl_end + timing.t_post;
-
-    cell.v_vdd->set_waveform(
-        excursion(cfg.vdd, lv.vdd, ta_on, ta_off, timing.assist_edge));
-    cell.v_vss->set_waveform(
-        excursion(0.0, lv.vss, ta_on, ta_off, timing.assist_edge));
-    cell.v_wl->set_waveform(
-        excursion(wl_inactive, lv.wl_active, w.wl_start, wl_fall_start,
-                  timing.wl_edge));
-
-    const double hold = bitline_hold_level(cell);
-    const double high_target = lv.bl_high;
-    const double low_target = lv.bl_low;
-    // Bitlines switch to write levels alongside the assist and return after.
-    if (value) {
-        cell.v_bl->set_waveform(
-            excursion(hold, high_target, ta_on, ta_off, timing.assist_edge));
-        cell.v_blb->set_waveform(
-            excursion(hold, low_target, ta_on, ta_off, timing.assist_edge));
-    } else {
-        cell.v_bl->set_waveform(
-            excursion(hold, low_target, ta_on, ta_off, timing.assist_edge));
-        cell.v_blb->set_waveform(
-            excursion(hold, high_target, ta_on, ta_off, timing.assist_edge));
-    }
-    return w;
+    OperationProgram p = OperationProgram::write(
+        cell.config, value, pulse_width, assist, fraction, timing);
+    const OperationWindow window = p.window;
+    apply(std::move(p), cell);
+    return window;
 }
 
 ReadSetup program_read(SramCell& cell, double read_duration, Assist assist,
                        double fraction, const OperationTiming& timing,
                        bool float_bitlines) {
-    TFET_EXPECTS(read_duration > 0.0);
-    TFET_EXPECTS(assist == Assist::kNone || is_read_assist(assist));
-    program_hold(cell);
-
-    const CellConfig& cfg = cell.config;
-    const double wl_active = cell.wl_active_level();
-    const double wl_inactive = cell.wl_inactive_level();
-    const AssistLevels lv = assist_levels(cfg.vdd, wl_active, assist, fraction);
-
+    OperationProgram p = OperationProgram::read(
+        cell.config, read_duration, assist, fraction, timing, float_bitlines);
     ReadSetup setup;
-    OperationWindow& w = setup.window;
-    const double ta_on = timing.t_settle;
-    w.wl_start = ta_on + timing.assist_edge + timing.assist_lead;
-    w.wl_mid = w.wl_start + timing.wl_edge / 2.0;
-    const double wl_fall_start = w.wl_start + timing.wl_edge + read_duration;
-    w.wl_end = wl_fall_start + timing.wl_edge;
-    const double ta_off = w.wl_end + timing.assist_lag;
-    w.t_end = w.wl_end + timing.t_post;
+    setup.window = p.window;
+    setup.precharge_level = p.levels.bl_high;
+    apply(std::move(p), cell);
 
-    cell.v_vdd->set_waveform(
-        excursion(cfg.vdd, lv.vdd, ta_on, ta_off, timing.assist_edge));
-    cell.v_vss->set_waveform(
-        excursion(0.0, lv.vss, ta_on, ta_off, timing.assist_edge));
-
-    setup.precharge_level = lv.bl_high;
-
-    switch (spec_of(cell).read_style) {
-    case ReadStyle::kDifferential: {
-        cell.v_wl->set_waveform(excursion(wl_inactive, lv.wl_active,
-                                          w.wl_start, wl_fall_start,
-                                          timing.wl_edge));
-        // Both bitlines precharged (possibly to a lowered level per the
-        // bitline-lowering RA).
-        cell.v_bl->set_waveform(excursion(cfg.vdd, lv.bl_high, ta_on, ta_off,
-                                          timing.assist_edge));
-        cell.v_blb->set_waveform(excursion(cfg.vdd, lv.bl_high, ta_on, ta_off,
-                                           timing.assist_edge));
-        if (float_bitlines) {
-            cell.sw_bl->set_control(open_before(w.wl_start));
-            cell.sw_blb->set_control(open_before(w.wl_start));
-        }
-        // Disturb side: the node storing 0 gets pulled up through its
-        // access device. Initialize q = 0.
-        setup.q_high_init = false;
-        setup.disturb_node = cell.q;
-        setup.safe_node = cell.qb;
-        setup.sense_node = cell.bl;
-        break;
-    }
-    case ReadStyle::kReadPort: {
-        // Write wordline stays off; the read wordline swings to its active
-        // level — low for the 7T's source-side read buffer
-        // (rwl_active_frac = 0), high for the 8T/9T gated stacks.
-        const CellSpec& spec = spec_of(cell);
-        const double rwl_idle = (1.0 - spec.rwl_active_frac) * cfg.vdd;
-        const double rwl_active = spec.rwl_active_frac * cfg.vdd;
-        cell.v_rwl->set_waveform(excursion(rwl_idle, rwl_active, w.wl_start,
-                                           wl_fall_start, timing.wl_edge));
-        cell.v_rbl->set_waveform(excursion(cfg.vdd, lv.bl_high, ta_on, ta_off,
-                                           timing.assist_edge));
-        if (float_bitlines)
-            cell.sw_rbl->set_control(open_before(w.wl_start));
-        // qb = 1 turns the read buffer on; the storage nodes are decoupled,
-        // so the "disturb" node only sees capacitive kick.
-        setup.q_high_init = false;
-        setup.disturb_node = cell.q;
-        setup.safe_node = cell.qb;
-        setup.sense_node = cell.rbl;
-        break;
-    }
-    case ReadStyle::kSingleSidedBlb: {
-        cell.v_wl->set_waveform(excursion(wl_inactive, lv.wl_active,
-                                          w.wl_start, wl_fall_start,
-                                          timing.wl_edge));
-        // Read through the inward device on BLB: it pulls qb (storing 0)
-        // up while BLB droops.
-        cell.v_blb->set_waveform(excursion(cfg.vdd, lv.bl_high, ta_on, ta_off,
-                                           timing.assist_edge));
-        if (float_bitlines)
-            cell.sw_blb->set_control(open_before(w.wl_start));
-        setup.q_high_init = true;
-        setup.disturb_node = cell.qb;
-        setup.safe_node = cell.q;
-        setup.sense_node = cell.blb;
-        break;
-    }
-    }
+    // The node storing 0 on the accessed side is pulled up through its
+    // access device, so reads start from q = 0 — except the asymmetric
+    // cell, which reads through BLB and so starts from qb = 0. A read port
+    // decouples the storage nodes: q only sees capacitive kick there.
+    const ReadStyle style = spec_of(cell).read_style;
+    const bool blb_side = style == ReadStyle::kSingleSidedBlb;
+    setup.q_high_init = blb_side;
+    setup.disturb_node = blb_side ? cell.qb : cell.q;
+    setup.safe_node = blb_side ? cell.q : cell.qb;
+    setup.sense_node = style == ReadStyle::kReadPort ? cell.rbl
+                       : blb_side                    ? cell.blb
+                                                     : cell.bl;
     return setup;
 }
 

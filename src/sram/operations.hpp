@@ -2,10 +2,15 @@
 // Programs a built cell's sources for hold, write, and read operations,
 // including the assist-technique timing relationships of Figs. 6 and 7:
 // the assisted rail/line moves before the wordline pulse and is restored
-// after it, exactly as the paper's timing diagrams show.
+// after it, exactly as the paper's timing diagrams show. The program
+// itself (OperationProgram) is plain data, so the flat and mixed-level
+// array engines apply the same waveforms to their rows and columns.
+
+#include <optional>
 
 #include "la/matrix.hpp"
 #include "spice/solver_options.hpp"
+#include "spice/waveform.hpp"
 #include "sram/assist.hpp"
 #include "sram/cell.hpp"
 
@@ -31,6 +36,42 @@ struct OperationWindow {
     double wl_mid = 0.0;   ///< wordline 50 % crossing of the asserting edge
     double wl_end = 0.0;   ///< wordline back at the inactive level
     double t_end = 0.0;    ///< end of the simulation window
+};
+
+/// One operation's waveform per rail role, as the cell driver applies it
+/// to a cell's handles and the array engines fan it out over rows and
+/// columns. Built from a CellConfig (its spec resolved by spec_of), the
+/// operation, the assist and its fraction, the wordline assertion time and
+/// the timing. Rails an operation leaves alone stay at their hold levels.
+struct OperationProgram {
+    spice::Waveform vdd;
+    spice::Waveform vss;
+    spice::Waveform wl;
+    spice::Waveform bl;
+    spice::Waveform blb;
+    spice::Waveform sw_bl; ///< precharge switch control (1 closed, 0 open)
+    spice::Waveform sw_blb;
+    /// Read-port rails; empty when the spec has no read port.
+    std::optional<spice::Waveform> rwl{};
+    std::optional<spice::Waveform> rbl{};
+    std::optional<spice::Waveform> sw_rbl{};
+    OperationWindow window{}; ///< all zero for hold
+    double assist_on = 0.0; ///< assisted rails and bitlines start to move [s]
+    AssistLevels levels;    ///< each rail's active level (no assist: hold)
+
+    /// Every rail at its quiescent hold level.
+    static OperationProgram hold(const CellConfig& config);
+    /// See program_write.
+    static OperationProgram write(const CellConfig& config, bool value,
+                                  double pulse_width, Assist assist,
+                                  double fraction,
+                                  const OperationTiming& timing);
+    /// See program_read.
+    static OperationProgram read(const CellConfig& config,
+                                 double read_duration, Assist assist,
+                                 double fraction,
+                                 const OperationTiming& timing,
+                                 bool float_bitlines);
 };
 
 /// Metadata of a programmed read.

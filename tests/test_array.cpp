@@ -168,6 +168,15 @@ TEST(Array, RejectsUnsupportedTopology) {
     EXPECT_THROW(SramArray{cfg}, contract_violation);
 }
 
+TEST(Array, RejectsOutOfRangeAccess) {
+    SramArray arr(proposed_array(2, 3));
+    ASSERT_TRUE(arr.initialize(pattern(2, 3, true)));
+    EXPECT_THROW(arr.write(2, 0, true), contract_violation);
+    EXPECT_THROW(arr.write(0, 3, true), contract_violation);
+    EXPECT_THROW(arr.read(2, 0), contract_violation);
+    EXPECT_THROW(arr.read(0, 3), contract_violation);
+}
+
 TEST(Array, RejectsDegenerateConfigs) {
     auto expect_invalid = [](ArrayConfig cfg, const char* what) {
         try {

@@ -156,6 +156,12 @@ TEST(MixedArray, ValidatesConfigLikeFlatDriver) {
     }
 }
 
+TEST(MixedArray, RejectsUnsupportedTopology) {
+    array::ArrayConfig cfg = proposed_array(1, 1);
+    cfg.cell.kind = sram::CellKind::kTfet7T;
+    EXPECT_THROW(MixedArray{cfg}, contract_violation);
+}
+
 TEST(MixedArray, WriteCounterContract) {
     MixedArray arr(proposed_array(8, 4));
     ASSERT_TRUE(arr.initialize(zeros(8, 4)));

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,10 @@ struct Case {
     sram::CellConfig config;
     Assist assist;
 };
+
+// Without this gtest prints the parameter as raw object bytes, heap
+// pointers included, so the listed test names would change on every run.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 std::vector<Case> cases() {
     const sram::CellConfig proposed =
