@@ -5,7 +5,7 @@
 # the solver microbenchmark (cache off, so every counter in the log is a
 # fresh measurement — docs/SOLVER.md), a cell-zoo job qualifying every
 # registered cell spec through signoff and the corner-sweep bench
-# (docs/CELLZOO.md), short traced perfbench runs of the two WLcrit
+# (docs/CELLZOO.md), short traced perfbench runs of all three benchmark
 # workloads checked for correctness, counter repeatability and predicted
 # zeros (perfbench/README.md), an ASan+UBSan build running the
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
@@ -163,13 +163,12 @@ grep -q '"quarantined":0' "$ZOO_OUT"/BENCH_cell_zoo.json
 grep -q 'bench:' "$ZOO_OUT"/cell_zoo_journal.jsonl
 echo "cell-zoo signoff and bench artifacts verified"
 
-echo "=== perfbench: traced smoke runs of the WLcrit workloads ==="
+echo "=== perfbench: traced smoke runs of every workload ==="
 # Short --trace 1 runs of the repository benchmark (perfbench/README.md).
 # Each must be correct (every simulated output equals perfbench/reference),
 # repeat its counters exactly when an episode runs again, and keep every
-# zero perfbench/predictions.json predicts. array_column joins once its
-# counters stop depending on the on-disk result cache (ROADMAP item 1).
-for workload in mc_variation assist_sweep; do
+# zero perfbench/predictions.json predicts.
+for workload in mc_variation assist_sweep array_column; do
   PB_OUT="build/ci_perfbench_${workload}"
   if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
       --trace 1 >"$PB_OUT.json" 2>"$PB_OUT.log" ||

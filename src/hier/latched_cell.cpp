@@ -1,9 +1,7 @@
 #include "hier/latched_cell.hpp"
 
 #include <cmath>
-#include <cstdio>
 
-#include "device/models.hpp"
 #include "spice/context.hpp"
 #include "spice/dc.hpp"
 #include "spice/solution.hpp"
@@ -12,32 +10,12 @@
 
 namespace tfetsram::hier {
 
-namespace {
-
 using spice::Waveform;
-
-/// Full-precision double rendering for the persistent cache: %.17g
-/// round-trips IEEE doubles exactly, so a replayed extraction is
-/// bit-identical to the cold one.
-std::string exact(double x) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", x);
-    return buf;
-}
-
-double parse(const std::string& text) { return std::strtod(text.c_str(), nullptr); }
-
-} // namespace
 
 LatchedCellModel::LatchedCellModel(const sram::CellConfig& config,
                                    const spice::SimContext* sim)
-    : config_(config), sim_(sim) {
-    probe_ = std::make_unique<sram::SramCell>(sram::build_cell(config, sim));
-    const std::filesystem::path dir =
-        sim != nullptr ? sim->config().cache_dir
-                       : spice::ambient_context().config().cache_dir;
-    disk_ = std::make_unique<runner::ResultCache>(
-        dir, runner::cache_mode_from_env());
+    : sim_(sim),
+      probe_(std::make_unique<sram::SramCell>(sram::build_cell(config, sim))) {
 }
 
 LatchedCellModel::~LatchedCellModel() = default;
@@ -56,30 +34,6 @@ LatchedCellModel::Key LatchedCellModel::quantize(bool value, double vss,
     return {value, q(vss), q(v_bl), q(v_blb)};
 }
 
-runner::CacheKey LatchedCellModel::disk_key(bool value, double vss,
-                                            double v_bl,
-                                            double v_blb) const {
-    // Everything the extraction result depends on. The quantized bias
-    // (not the raw doubles) keys the entry so memo and disk agree on what
-    // counts as "the same point".
-    const Key k = quantize(value, vss, v_bl, v_blb);
-    return runner::CacheKey("hier_latched")
-        .add("schema", 1)
-        .add("model", device::kModelSetVersion)
-        .add("kind", sram::to_string(config_.kind))
-        .add("access", sram::to_string(config_.access))
-        .add("vdd", config_.vdd)
-        .add("beta", config_.beta)
-        .add("w_access", config_.w_access)
-        .add("w_pullup", config_.w_pullup)
-        .add("dv", extraction_dv_)
-        .add("value", value)
-        .add("vss_uV", static_cast<std::size_t>(std::get<1>(k) + (1ll << 32)))
-        .add("bl_uV", static_cast<std::size_t>(std::get<2>(k) + (1ll << 32)))
-        .add("blb_uV",
-             static_cast<std::size_t>(std::get<3>(k) + (1ll << 32)));
-}
-
 const BitlineLoad& LatchedCellModel::load(bool value, double vss,
                                           double v_bl, double v_blb) {
     const Key k = quantize(value, vss, v_bl, v_blb);
@@ -89,34 +43,8 @@ const BitlineLoad& LatchedCellModel::load(bool value, double vss,
         return it->second;
     }
 
-    const runner::CacheKey key = disk_key(value, vss, v_bl, v_blb);
-    if (std::optional<runner::TaskResult> hit = disk_->load(key)) {
-        BitlineLoad bl;
-        bl.v_bl = v_bl;
-        bl.v_blb = v_blb;
-        bl.vss = vss;
-        bl.i_bl = parse(hit->get("i_bl"));
-        bl.i_blb = parse(hit->get("i_blb"));
-        bl.g_bl = parse(hit->get("g_bl"));
-        bl.g_blb = parse(hit->get("g_blb"));
-        bl.v_q = parse(hit->get("v_q"));
-        bl.v_qb = parse(hit->get("v_qb"));
-        bl.valid = hit->get("valid") == "1";
-        ++cache_hits_;
-        return memo_.emplace(k, bl).first->second;
-    }
-
     const BitlineLoad bl = extract(value, vss, v_bl, v_blb);
     ++extractions_;
-    runner::TaskResult result;
-    result.set("i_bl", exact(bl.i_bl));
-    result.set("i_blb", exact(bl.i_blb));
-    result.set("g_bl", exact(bl.g_bl));
-    result.set("g_blb", exact(bl.g_blb));
-    result.set("v_q", exact(bl.v_q));
-    result.set("v_qb", exact(bl.v_qb));
-    result.set("valid", bl.valid ? "1" : "0");
-    disk_->store(key, result);
     return memo_.emplace(k, bl).first->second;
 }
 

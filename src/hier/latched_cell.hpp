@@ -10,11 +10,8 @@
 // (vss, v_bl, v_blb), reads each bitline source's delivered current, and
 // obtains the small-signal conductance by a finite-difference re-solve at
 // v_bl + dv (warm-started from the base point, so each extra coefficient
-// costs a couple of Newton iterations). Results are memoized in-process
-// per (state, quantized bias) and persisted through the runner's
-// content-addressed ResultCache keyed on the cell parameters, model-set
-// version, state, and bias — a bench re-run replays extractions instead
-// of re-simulating them.
+// costs a couple of Newton iterations). Results are memoized per model,
+// in-process only, by (state, quantized bias).
 
 #include <cstdint>
 #include <map>
@@ -22,7 +19,6 @@
 #include <tuple>
 
 #include "la/matrix.hpp"
-#include "runner/cache.hpp"
 #include "sram/cell.hpp"
 
 namespace tfetsram::spice {
@@ -63,7 +59,7 @@ struct BitlineLoad {
 class LatchedCellModel {
 public:
     /// `sim` (non-owning, optional) pins extraction solves to an explicit
-    /// context; its cache_dir also hosts the persistent extraction cache.
+    /// context.
     explicit LatchedCellModel(const sram::CellConfig& config,
                               const spice::SimContext* sim = nullptr);
     ~LatchedCellModel();
@@ -73,17 +69,17 @@ public:
 
     /// Load of a quiescent cell storing `value` at column levels
     /// (vss, v_bl, v_blb). Served from the memo when the quantized bias
-    /// was seen before; otherwise from the persistent cache or a fresh
-    /// extraction. The reference stays valid for the model's lifetime.
+    /// was seen before; otherwise from a fresh extraction. The reference
+    /// stays valid for the model's lifetime.
     const BitlineLoad& load(bool value, double vss, double v_bl,
                             double v_blb);
 
     /// Finite-difference step used for the conductance extraction [V].
     void set_extraction_dv(double dv);
 
-    /// Cold extractions actually solved (memo and disk misses).
+    /// Cold extractions actually solved (memo misses).
     [[nodiscard]] std::size_t extractions() const { return extractions_; }
-    /// load() calls answered from memory or disk.
+    /// load() calls answered from the memo.
     [[nodiscard]] std::size_t cache_hits() const { return cache_hits_; }
 
 private:
@@ -91,18 +87,14 @@ private:
     using Key = std::tuple<bool, std::int64_t, std::int64_t, std::int64_t>;
     [[nodiscard]] Key quantize(bool value, double vss, double v_bl,
                                double v_blb) const;
-    [[nodiscard]] runner::CacheKey disk_key(bool value, double vss,
-                                            double v_bl, double v_blb) const;
     [[nodiscard]] BitlineLoad extract(bool value, double vss, double v_bl,
                                       double v_blb);
 
-    sram::CellConfig config_;
     const spice::SimContext* sim_;
     std::unique_ptr<sram::SramCell> probe_;
     la::Vector cold_guess_;
     double extraction_dv_ = 10e-3;
     std::map<Key, BitlineLoad> memo_;
-    std::unique_ptr<runner::ResultCache> disk_;
     std::size_t extractions_ = 0;
     std::size_t cache_hits_ = 0;
 };

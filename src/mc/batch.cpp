@@ -78,7 +78,7 @@ McResult run_sample_block(const spice::SimContext& ctx,
                 // rebuild from scratch exactly like the serial engine, so
                 // a perturbed restart gets fresh companion state and the
                 // reseed hook's config tweaks.
-                const bool lockstep = attempt == 1 && options.reuse_cells;
+                const bool lockstep = attempt == 1;
                 std::optional<sram::SramCell> scratch;
                 sram::SramCell* cell = nullptr;
                 if (lockstep && lane_cell) {

@@ -37,9 +37,6 @@ struct BatchOptions {
     /// so every sample of a run keeps a globally unique, deterministic
     /// seed stream.
     std::uint64_t stream_offset = 0;
-    /// Escape hatch: rebuild the cell for every sample (serial engine
-    /// semantics) instead of retargeting lane cells in place.
-    bool reuse_cells = true;
 };
 
 /// Lockstep bookkeeping for tests and bench counters. Accumulating: one

@@ -9,7 +9,6 @@
 #include "runner/hash.hpp"
 #include "runner/json.hpp"
 #include "util/contracts.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 
 namespace tfetsram::runner {
@@ -27,10 +26,6 @@ CacheMode parse_cache_mode(std::string_view text) {
     if (text == "ro")
         return CacheMode::kReadOnly;
     return CacheMode::kReadWrite;
-}
-
-CacheMode cache_mode_from_env() {
-    return parse_cache_mode(env::get_string("TFETSRAM_CACHE"));
 }
 
 std::string to_string(CacheMode mode) {

@@ -30,8 +30,6 @@ enum class CacheMode {
 /// Parse a cache-mode spelling ("off"/"0", "ro", anything else -> rw);
 /// an empty string means the default kReadWrite.
 CacheMode parse_cache_mode(std::string_view text);
-/// Parse TFETSRAM_CACHE; unset or unrecognized values mean kReadWrite.
-CacheMode cache_mode_from_env();
 std::string to_string(CacheMode mode);
 
 /// Ordered field=value builder producing the canonical key text. Add every

@@ -74,9 +74,8 @@ RunnerConfig RunnerConfig::from_env(std::string run_name) {
         cfg.cache_dir = snap.cache_dir;
     if (!snap.out_dir.empty())
         cfg.out_dir = snap.out_dir;
-    // The context mirrors the runner's directories so task code resolving
-    // paths through its SimContext agrees with the cache and telemetry.
-    cfg.sim.cache_dir = cfg.cache_dir;
+    // The context mirrors the runner's output directory so task code
+    // resolving paths through its SimContext agrees with the telemetry.
     cfg.sim.out_dir = cfg.out_dir;
     return cfg;
 }

@@ -25,18 +25,12 @@ SimConfig SimConfig::from_env() {
 
 SimConfig SimConfig::from_env(const env::EnvSnapshot& snap) {
     SimConfig cfg;
-    // An unset TFETSRAM_SOLVER leaves mode empty: the context then tracks
-    // the live process-wide policy instead of freezing "auto" at capture
-    // time, so set_solver_mode()/ScopedSolverMode still take effect.
-    if (!snap.solver.empty())
-        cfg.mode = parse_solver_mode(snap.solver.c_str());
+    cfg.mode = parse_solver_mode(snap.solver.c_str());
     if (snap.seed != 0)
         cfg.seed = snap.seed;
     cfg.fault_spec = snap.faults;
     if (!snap.out_dir.empty())
         cfg.out_dir = snap.out_dir;
-    if (!snap.cache_dir.empty())
-        cfg.cache_dir = snap.cache_dir;
     if (snap.task_timeout > 0)
         cfg.deadline_s = snap.task_timeout;
     return cfg;
@@ -75,8 +69,7 @@ SimContext::SimContext(ViewTag, const SimContext& parent,
 }
 
 SolverKind SimContext::select_kind(std::size_t num_unknowns) const {
-    return apply_solver_mode(config_.mode ? *config_.mode : solver_mode(),
-                             num_unknowns);
+    return apply_solver_mode(config_.mode, num_unknowns);
 }
 
 std::uint64_t SimContext::derive_seed(std::uint64_t stream) const {

@@ -1,15 +1,15 @@
 #pragma once
 // SimContext: the explicit, immutable-after-construction simulation
-// context threaded through solver → cell → array → MC → runner. One
-// context owns everything that used to live in process-global state:
+// context threaded through solver → cell → array → MC → runner. A solve's
+// behaviour depends only on its context and its inputs; the context owns
 //
 //  * the effective SolverOptions,
-//  * the solver-mode policy (a context with an explicit mode ignores the
-//    process-wide set_solver_mode()/TFETSRAM_SOLVER override entirely —
-//    that is what makes concurrent dense-vs-sparse A/B tasks safe),
+//  * the solver-mode policy (SimConfig::mode; TFETSRAM_SOLVER reaches it
+//    only through SimConfig::from_env, so concurrent dense-vs-sparse A/B
+//    tasks are safe),
 //  * the RNG seed root plus deterministic derived seeds for child work,
 //  * an optional private fault-injection plan,
-//  * output/cache directories,
+//  * the output directory,
 //  * a per-context SolverStats sink, so work fanned out to inner pools is
 //    attributed to the context, not to whichever thread happened to run it.
 //
@@ -22,16 +22,14 @@
 // Threading model: a context is bound to a thread with ScopedContext;
 // ambient_context() returns the innermost binding, falling back to a
 // per-thread default context built once from the process env snapshot.
-// The legacy entry points (solve_dc(circuit, opts), solver_stats(),
-// ScopedSolverMode) all delegate to the ambient context, so unported call
-// sites keep their exact historical behavior. See docs/ARCHITECTURE.md.
+// The legacy entry points (solve_dc(circuit, opts), solver_stats()) all
+// delegate to the ambient context. See docs/ARCHITECTURE.md.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "spice/cancel.hpp"
@@ -53,12 +51,8 @@ namespace tfetsram::spice {
 /// it never changes.
 struct SimConfig {
     SolverOptions options;
-    /// Backend policy. nullopt defers to the process-wide resolution
-    /// (set_solver_mode override → TFETSRAM_SOLVER → auto-by-size), which
-    /// is what default/ambient contexts use so ScopedSolverMode keeps
-    /// working; a set value is final — the context is isolated from every
-    /// global override.
-    std::optional<SolverMode> mode;
+    /// Backend policy; kAuto routes by system size (kSparseAutoThreshold).
+    SolverMode mode = SolverMode::kAuto;
     /// RNG seed root; derive_seed()/child() mix per-stream seeds from it.
     std::uint64_t seed = 0x746665747372616dull; // "tfetsram"
     /// Private fault-injection plan (TFETSRAM_FAULTS grammar). Empty means
@@ -66,7 +60,6 @@ struct SimConfig {
     /// ScopedFaultInjection / env-var behavior.
     std::string fault_spec;
     std::filesystem::path out_dir = "bench_csv";
-    std::filesystem::path cache_dir = ".tfetsram_cache";
     /// Attribution label (e.g. the runner task id); diagnostic only.
     std::string label;
 
@@ -116,8 +109,8 @@ public:
     /// with_options() views, which write into their parent's sink.
     [[nodiscard]] SolverStats& stats() const { return *stats_sink_; }
 
-    /// Resolve the linear backend for a system of `num_unknowns`: the
-    /// context's own mode when set, else the process-wide policy.
+    /// Resolve the linear backend for a system of `num_unknowns` under the
+    /// context's mode.
     [[nodiscard]] SolverKind select_kind(std::size_t num_unknowns) const;
 
     /// Deterministic per-stream seed (splitmix-style mix of the root and
@@ -126,7 +119,7 @@ public:
     [[nodiscard]] std::uint64_t derive_seed(std::uint64_t stream) const;
 
     /// Independent child for fan-out work (one per MC sample): same
-    /// options/mode/dirs, seed derived from `stream`, shared fault plan,
+    /// options/mode/out_dir, seed derived from `stream`, shared fault plan,
     /// and its own zeroed stats — the parent aggregates children in
     /// deterministic order once the fan-out joins (stats() += child.stats()).
     [[nodiscard]] SimContext child(std::uint64_t stream) const;

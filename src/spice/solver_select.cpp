@@ -1,26 +1,8 @@
 #include "spice/solver_select.hpp"
 
-#include <atomic>
 #include <cstring>
 
-#include "util/env.hpp"
-
 namespace tfetsram::spice {
-
-namespace {
-
-/// Programmatic override, encoded as -1 (none) or the SolverMode value.
-/// Atomic so a bench thread flipping it does not race Monte-Carlo workers
-/// reading it; the env fallback is read once and cached.
-std::atomic<int> g_override{-1};
-
-SolverMode env_mode() {
-    static const SolverMode cached =
-        parse_solver_mode(env::raw("TFETSRAM_SOLVER"));
-    return cached;
-}
-
-} // namespace
 
 SolverMode parse_solver_mode(const char* text) {
     if (text == nullptr)
@@ -32,21 +14,6 @@ SolverMode parse_solver_mode(const char* text) {
     return SolverMode::kAuto;
 }
 
-SolverMode solver_mode() {
-    const int ov = g_override.load(std::memory_order_relaxed);
-    if (ov >= 0)
-        return static_cast<SolverMode>(ov);
-    return env_mode();
-}
-
-void set_solver_mode(SolverMode mode) {
-    g_override.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-void clear_solver_mode_override() {
-    g_override.store(-1, std::memory_order_relaxed);
-}
-
 SolverKind apply_solver_mode(SolverMode mode, std::size_t num_unknowns) {
     switch (mode) {
     case SolverMode::kDense: return SolverKind::kDense;
@@ -55,19 +22,6 @@ SolverKind apply_solver_mode(SolverMode mode, std::size_t num_unknowns) {
     }
     return num_unknowns >= kSparseAutoThreshold ? SolverKind::kSparse
                                                 : SolverKind::kDense;
-}
-
-SolverKind select_solver_kind(std::size_t num_unknowns) {
-    return apply_solver_mode(solver_mode(), num_unknowns);
-}
-
-ScopedSolverMode::ScopedSolverMode(SolverMode mode)
-    : previous_(g_override.load(std::memory_order_relaxed)) {
-    set_solver_mode(mode);
-}
-
-ScopedSolverMode::~ScopedSolverMode() {
-    g_override.store(previous_, std::memory_order_relaxed);
 }
 
 } // namespace tfetsram::spice

@@ -2,9 +2,8 @@
 // Linear-kernel selection for the Newton loop: dense LU (the right call for
 // single-cell circuits, < ~64 unknowns) versus the sparse kernel (what
 // makes rows x cols arrays tractable). Selection is automatic by system
-// size; TFETSRAM_SOLVER=dense|sparse|auto overrides it process-wide, and
-// set_solver_mode() overrides both programmatically (tests and the
-// sparse-vs-dense microbench workloads).
+// size unless a SimContext's SimConfig::mode pins a backend;
+// TFETSRAM_SOLVER=dense|sparse|auto reaches it through SimConfig::from_env.
 
 #include <cstddef>
 
@@ -13,7 +12,7 @@ namespace tfetsram::spice {
 /// Backend actually used for one circuit's solves.
 enum class SolverKind { kDense, kSparse };
 
-/// Requested policy (env var / programmatic override).
+/// Requested policy (SimConfig::mode, TFETSRAM_SOLVER).
 enum class SolverMode { kAuto, kDense, kSparse };
 
 /// Unknown count at and above which kAuto picks the sparse kernel. Below
@@ -26,33 +25,6 @@ inline constexpr std::size_t kSparseAutoThreshold = 64;
 SolverMode parse_solver_mode(const char* text);
 
 /// Apply a policy to a system size (kAuto routes by kSparseAutoThreshold).
-/// Pure — SimContext uses it with its own mode, select_solver_kind with
-/// the process-wide one.
 SolverKind apply_solver_mode(SolverMode mode, std::size_t num_unknowns);
-
-/// Effective process-wide policy: the programmatic override if set, else
-/// the cached TFETSRAM_SOLVER environment value. Contexts with an explicit
-/// SimConfig::mode bypass this entirely (spice/context.hpp).
-SolverMode solver_mode();
-
-/// Install a process-wide programmatic override (kAuto included); wins
-/// over the environment until clear_solver_mode_override().
-void set_solver_mode(SolverMode mode);
-void clear_solver_mode_override();
-
-/// Apply the effective policy to a system size.
-SolverKind select_solver_kind(std::size_t num_unknowns);
-
-/// RAII override for tests/benches comparing backends in one process.
-class ScopedSolverMode {
-public:
-    explicit ScopedSolverMode(SolverMode mode);
-    ~ScopedSolverMode();
-    ScopedSolverMode(const ScopedSolverMode&) = delete;
-    ScopedSolverMode& operator=(const ScopedSolverMode&) = delete;
-
-private:
-    int previous_; ///< encoded prior override (-1 = none)
-};
 
 } // namespace tfetsram::spice

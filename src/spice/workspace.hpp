@@ -9,7 +9,7 @@
 //
 // The workspace carries both linear backends; `kind` records which one
 // this circuit was routed to (chosen on the first Newton solve from
-// spice::select_solver_kind and then pinned, so a circuit never mixes
+// SimContext::select_kind and then pinned, so a circuit never mixes
 // dense and sparse factorizations mid-analysis). The dense members stay
 // empty on the sparse path and vice versa.
 

@@ -62,17 +62,6 @@ std::optional<double> parse_double(std::string_view text) {
     return value;
 }
 
-std::optional<std::size_t> parse_choice(
-    std::string_view text, std::initializer_list<std::string_view> names) {
-    std::size_t i = 0;
-    for (std::string_view name : names) {
-        if (text == name)
-            return i;
-        ++i;
-    }
-    return std::nullopt;
-}
-
 std::string get_string(const char* name, std::string_view fallback) {
     const char* value = raw(name);
     if (value == nullptr || *value == '\0')

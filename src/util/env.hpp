@@ -10,7 +10,6 @@
 // simulation never consults the environment again.
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,6 +21,8 @@ namespace tfetsram::env {
 const char* raw(const char* name);
 
 // ---- pure parse helpers (unit-tested without touching the environment) --
+// Enum-valued knobs are parsed by the layer that owns the enum
+// (spice::parse_solver_mode, runner::parse_cache_mode).
 
 /// Base-10 integer, optional leading '-'/'+'; nullopt on empty text, stray
 /// characters, or overflow.
@@ -34,12 +35,6 @@ std::optional<bool> parse_bool(std::string_view text);
 /// Finite base-10 floating-point value (strtod grammar, full-string match);
 /// nullopt on empty text, stray characters, or non-finite results.
 std::optional<double> parse_double(std::string_view text);
-
-/// Index of `text` within `names` (exact match); nullopt when absent.
-/// The generic helper behind every enum-valued knob (solver mode, cache
-/// mode): layers parse once, here, instead of hand-rolling strcmp chains.
-std::optional<std::size_t> parse_choice(
-    std::string_view text, std::initializer_list<std::string_view> names);
 
 // ---- typed getters (fallback on unset or empty) -------------------------
 

@@ -1,8 +1,8 @@
 // SimContext tests: deterministic seed derivation, env-snapshot layering,
-// with_options views, legacy-shim attribution, context-vs-global solver
-// policy, per-task isolation when concurrent runner tasks pin conflicting
-// backends, and the Monte-Carlo inner-pool attribution regression (a
-// task's journal record must cover work its MC pool did on other threads).
+// with_options views, legacy-shim attribution, per-task isolation when
+// concurrent runner tasks pin conflicting backends, and the Monte-Carlo
+// inner-pool attribution regression (a task's journal record must cover
+// work its MC pool did on other threads).
 
 #include <gtest/gtest.h>
 
@@ -92,10 +92,9 @@ TEST(ContextSeeds, ChildStartsWithZeroedStats) {
 TEST(ContextConfig, FromEmptySnapshotKeepsBuiltInDefaults) {
     const env::EnvSnapshot snap{};
     const spice::SimConfig cfg = spice::SimConfig::from_env(snap);
-    EXPECT_FALSE(cfg.mode.has_value());
+    EXPECT_EQ(cfg.mode, spice::SolverMode::kAuto);
     EXPECT_EQ(cfg.seed, spice::SimConfig{}.seed);
     EXPECT_EQ(cfg.out_dir, fs::path("bench_csv"));
-    EXPECT_EQ(cfg.cache_dir, fs::path(".tfetsram_cache"));
     EXPECT_TRUE(cfg.fault_spec.empty());
 }
 
@@ -104,17 +103,13 @@ TEST(ContextConfig, FromSnapshotLayersEverySetKnob) {
     snap.solver = "sparse";
     snap.seed = 123;
     snap.out_dir = "o";
-    snap.cache_dir = "c";
     const spice::SimConfig cfg = spice::SimConfig::from_env(snap);
-    ASSERT_TRUE(cfg.mode.has_value());
-    EXPECT_EQ(*cfg.mode, spice::SolverMode::kSparse);
+    EXPECT_EQ(cfg.mode, spice::SolverMode::kSparse);
     EXPECT_EQ(cfg.seed, 123u);
     EXPECT_EQ(cfg.out_dir, fs::path("o"));
-    EXPECT_EQ(cfg.cache_dir, fs::path("c"));
 
     snap.solver = "dense";
-    ASSERT_TRUE(spice::SimConfig::from_env(snap).mode.has_value());
-    EXPECT_EQ(*spice::SimConfig::from_env(snap).mode,
+    EXPECT_EQ(spice::SimConfig::from_env(snap).mode,
               spice::SolverMode::kDense);
 }
 
@@ -153,22 +148,6 @@ TEST(ContextShims, LegacySolveAttributesToTheBoundContext) {
     // context, not on ctx.
     ASSERT_TRUE(spice::solve_dc(ckt, {}).converged);
     EXPECT_EQ(ctx.stats().dc_solves, 3u);
-}
-
-// ------------------------------------------------------------- mode policy
-
-TEST(ContextModes, ExplicitModeIgnoresProcessWideOverride) {
-    spice::SimConfig cfg;
-    cfg.mode = spice::SolverMode::kDense;
-    const spice::SimContext pinned(cfg);
-    const spice::ScopedSolverMode force(spice::SolverMode::kSparse);
-    // The pinned context is isolated from the global override...
-    EXPECT_EQ(pinned.select_kind(5000), spice::SolverKind::kDense);
-    // ...while a mode-less context keeps tracking the live policy, which
-    // is what keeps ScopedSolverMode working for unported call sites.
-    spice::SimConfig open;
-    const spice::SimContext tracking(open);
-    EXPECT_EQ(tracking.select_kind(2), spice::SolverKind::kSparse);
 }
 
 // ------------------------------------------- concurrent per-task isolation

@@ -1,6 +1,6 @@
 // Mixed-level engine unit tests: partition planning and refinement, the
 // deterministic event queue, latched-cell extraction (validity, symmetry,
-// memoization), MixedArray functional behaviour with exact event-counter
+// memoization, one extraction per model set), MixedArray functional behaviour with exact event-counter
 // contracts, the hier_* counter flow into spice::SolverStats, config
 // validation shared with the flat driver, and the ArrayEngine mode policy.
 
@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "device/models.hpp"
 #include "hier/engine.hpp"
 #include "hier/event_queue.hpp"
 #include "hier/latched_cell.hpp"
@@ -136,11 +137,41 @@ TEST(LatchedCellModel, MemoizesByQuantizedBias) {
     LatchedCellModel model(cell);
     (void)model.load(false, 0.0, 0.8, 0.8);
     const std::size_t cold = model.extractions();
-    EXPECT_GE(cold, 0u);
+    EXPECT_EQ(cold, 1u);
     // Same point again (with sub-uV noise): served from the memo.
     (void)model.load(false, 0.0, 0.8 + 1e-9, 0.8);
     EXPECT_EQ(model.extractions(), cold);
     EXPECT_GE(model.cache_hits(), 1u);
+}
+
+TEST(LatchedCellModel, ExtractsPerModelSetWithinOneProcess) {
+    // A model over a thicker-oxide model set must extract its own loads,
+    // even at a bias a nominal model in the same process already saw.
+    device::TfetParams thick;
+    thick.tox = 2.4e-9;
+    const device::ModelSet thick_models = device::make_model_set(thick);
+    const sram::CellConfig nominal =
+        sram::proposed_design(0.8, models()).config;
+    const sram::CellConfig varied =
+        sram::proposed_design(0.8, thick_models).config;
+
+    LatchedCellModel first(nominal);
+    const BitlineLoad base = first.load(false, 0.0, 0.8, 0.8);
+    EXPECT_EQ(first.extractions(), 1u);
+    LatchedCellModel second(varied);
+    const BitlineLoad got = second.load(false, 0.0, 0.8, 0.8);
+    EXPECT_EQ(second.extractions(), 1u);
+    EXPECT_NE(got.v_q, base.v_q);
+
+    LatchedCellModel lone(varied);
+    const BitlineLoad want = lone.load(false, 0.0, 0.8, 0.8);
+    EXPECT_EQ(got.valid, want.valid);
+    EXPECT_EQ(got.i_bl, want.i_bl);
+    EXPECT_EQ(got.i_blb, want.i_blb);
+    EXPECT_EQ(got.g_bl, want.g_bl);
+    EXPECT_EQ(got.g_blb, want.g_blb);
+    EXPECT_EQ(got.v_q, want.v_q);
+    EXPECT_EQ(got.v_qb, want.v_qb);
 }
 
 // --------------------------------------------------------------- MixedArray

@@ -6,6 +6,8 @@
 // partition rules imply. This is the drift detector for everything the
 // mixed engine approximates (latched linearization, per-operation
 // partition rebuild) and for the timing constants both engines must share.
+// A rerun oracle rides along: the same mixed-level sequence run twice in
+// one process must cost exactly the same solver work.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 
 #include "array/array.hpp"
 #include "hier/mixed_array.hpp"
+#include "spice/context.hpp"
+#include "spice/stats.hpp"
 #include "sram/designs.hpp"
 
 namespace tfetsram::hier {
@@ -175,6 +179,28 @@ TEST(HierDiff, WriteReadSequenceMatchesFlatOn16x8) {
     EXPECT_EQ(st.demotions, (8u + 2u) + 8u);
     EXPECT_EQ(st.relinearizations, 8u + 8u);
     EXPECT_EQ(st.guard_retries, 0u);
+}
+
+TEST(HierDiff, RerunInOneProcessRepeatsEverySolverCounter) {
+    // Each run builds its own array under a fresh context; nothing a
+    // first run leaves behind may change what the second one solves.
+    const auto run = [] {
+        const spice::SimContext ctx(spice::SimConfig{});
+        MixedArray mixed(proposed_array(8, 4), HierConfig{}, &ctx);
+        EXPECT_TRUE(mixed.initialize(checker(8, 4)));
+        EXPECT_TRUE(mixed.write(3, 0, true).ok);
+        EXPECT_TRUE(mixed.read(3, 0).ok);
+        EXPECT_TRUE(mixed.read(4, 2).ok);
+        return ctx.stats();
+    };
+    const spice::SolverStats first = run();
+    const spice::SolverStats second = run();
+    EXPECT_GT(first.dc_solves, 0u);
+    for (const spice::StatField& f : spice::kSolverStatsFields) {
+        if (f.member == &spice::SolverStats::sparse_ordering_us)
+            continue; // wall time, not work
+        EXPECT_EQ(first.*f.member, second.*f.member) << f.name;
+    }
 }
 
 } // namespace

@@ -241,34 +241,6 @@ TEST(McBatch, SparseForcedSharesSymbolicAnalysisPerLane) {
     EXPECT_GT(batch_ctx.stats().sparse_static_pivot_hits, 0u);
 }
 
-TEST(McBatch, RebuildEscapeHatchMatchesSerialBuildCounts) {
-    // reuse_cells = false must degrade lockstep to serial semantics:
-    // every sample is a fresh build, no retargets.
-    const sram::CellConfig cfg = test_cell();
-    const TfetVariationSampler sampler(coarse_variation());
-    constexpr std::size_t kN = 5;
-    constexpr std::uint64_t kSeed = 3;
-
-    Rng rng(kSeed);
-    std::vector<double> tox;
-    for (std::size_t i = 0; i < kN; ++i)
-        tox.push_back(sampler.sample_tox(rng));
-
-    spice::SimContext ctx{spice::SimConfig{}};
-    const la::Vector seed_x = nominal_hold_seed(ctx, cfg);
-    BatchOptions options;
-    options.threads = 1;
-    options.reuse_cells = false;
-    BatchStats stats;
-    const McResult res = run_sample_block(ctx, cfg, sampler, tox,
-                                          hold_power_metric(), seed_x,
-                                          options, &stats);
-    EXPECT_EQ(res.n_censored, 0u);
-    EXPECT_EQ(stats.cell_builds, kN);
-    EXPECT_EQ(stats.model_retargets, 0u);
-    EXPECT_EQ(stats.draws, kN);
-}
-
 /// Independent serial reference for the in-pool draw flow: every draw is
 /// prebuilt up front with sampler.sample(rng) — the pre-pool flow — and
 /// evaluated in index order under ctx.child(i), with the engines'

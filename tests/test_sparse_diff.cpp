@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "array/array.hpp"
@@ -28,13 +29,13 @@
 #include "la/sparse_lu.hpp"
 #include "la/sparse_matrix.hpp"
 #include "spice/circuit.hpp"
+#include "spice/context.hpp"
 #include "spice/dc.hpp"
 #include "spice/mna.hpp"
 #include "spice/solver_select.hpp"
 #include "spice/stats.hpp"
 #include "sram/designs.hpp"
 #include "support/minimum_degree.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace tfetsram {
@@ -64,6 +65,14 @@ std::vector<std::vector<bool>> checker(std::size_t rows, std::size_t cols) {
 
 spice::SolverStats metered_since(const spice::SolverStats& before) {
     return spice::solver_stats() - before;
+}
+
+/// Context pinned to `mode`; a test binds it with spice::ScopedContext so
+/// every solve inside picks its kernel from this context alone.
+spice::SimContext mode_context(spice::SolverMode mode) {
+    spice::SimConfig cfg;
+    cfg.mode = mode;
+    return spice::SimContext(std::move(cfg));
 }
 
 /// Random square system with ~`density` filled off-diagonals and a
@@ -281,7 +290,8 @@ TEST(SparseDenseFailure, SingularCircuitSolveFailsGracefullyBothPaths) {
     // chain and return a structured non-convergence, not crash.
     for (const spice::SolverMode mode :
          {spice::SolverMode::kDense, spice::SolverMode::kSparse}) {
-        spice::ScopedSolverMode scoped(mode);
+        const spice::SimContext ctx = mode_context(mode);
+        const spice::ScopedContext bind(ctx);
         spice::Circuit c;
         const spice::NodeId a = c.add_node("a");
         const spice::NodeId b = c.add_node("b");
@@ -302,7 +312,8 @@ TEST(SparseAssembly, CellSystemMatchesDenseExactly) {
     // Dense and sparse assembly run the same stamping code in the same
     // order, so corresponding entries see the same addends in the same
     // sequence: comparison is exact, not approximate.
-    spice::ScopedSolverMode scoped(spice::SolverMode::kDense);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kDense);
+    const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     spice::Circuit& c = cell.circuit;
     c.prepare();
@@ -335,7 +346,8 @@ TEST(SparseAssembly, CellSystemMatchesDenseExactly) {
 }
 
 TEST(SparseAssembly, ArraySystemMatchesDenseExactly) {
-    spice::ScopedSolverMode scoped(spice::SolverMode::kDense);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kDense);
+    const spice::ScopedContext bind(ctx);
     array::SramArray arr(proposed_array(4, 2));
     spice::Circuit& c = arr.circuit();
     c.prepare();
@@ -376,7 +388,8 @@ TEST(SparseAssembly, AmdFillNoWorseThanGreedyOnRealMnaPatterns) {
     // speed; on the patterns this simulator actually factors it must not
     // give that speed back as extra fill (a few percent of slack covers
     // the approximation).
-    spice::ScopedSolverMode scoped(spice::SolverMode::kDense);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kDense);
+    const spice::ScopedContext bind(ctx);
     const auto fill_of = [](spice::Circuit& c, bool use_amd) {
         c.prepare();
         la::SparseMatrix jac;
@@ -423,7 +436,8 @@ TEST(SparseDenseSimulation, ArrayOperationsAgreeAcrossBackends) {
 
     for (const spice::SolverMode mode :
          {spice::SolverMode::kDense, spice::SolverMode::kSparse}) {
-        spice::ScopedSolverMode scoped(mode);
+        const spice::SimContext ctx = mode_context(mode);
+        const spice::ScopedContext bind(ctx);
         array::SramArray arr(proposed_array(rows, cols));
         ASSERT_TRUE(arr.initialize(checker(rows, cols)));
 
@@ -466,7 +480,8 @@ TEST(SparseDenseSimulation, ArrayOperationsAgreeAcrossBackends) {
 // ------------------------------------------------- counter contracts
 
 TEST(SparseCounters, OneSymbolicAnalysisPerCircuitTopology) {
-    spice::ScopedSolverMode scoped(spice::SolverMode::kSparse);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kSparse);
+    const spice::ScopedContext bind(ctx);
     const spice::SolverStats before = spice::solver_stats();
     constexpr int kCircuits = 3;
     for (int i = 0; i < kCircuits; ++i) {
@@ -485,7 +500,8 @@ TEST(SparseCounters, OneSymbolicAnalysisPerCircuitTopology) {
 }
 
 TEST(SparseCounters, OneRefactorizationPerNewtonIteration) {
-    spice::ScopedSolverMode scoped(spice::SolverMode::kSparse);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kSparse);
+    const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     const spice::SolverStats before = spice::solver_stats();
     const spice::DcResult r = solve_dc(cell.circuit, {});
@@ -504,7 +520,8 @@ TEST(SparseCounters, OneRefactorizationPerNewtonIteration) {
 }
 
 TEST(SparseCounters, DenseOnlyWindowReportsNoSparseWork) {
-    spice::ScopedSolverMode scoped(spice::SolverMode::kDense);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kDense);
+    const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     const spice::SolverStats before = spice::solver_stats();
     ASSERT_TRUE(solve_dc(cell.circuit, {}).converged);
@@ -518,12 +535,10 @@ TEST(SparseCounters, DenseOnlyWindowReportsNoSparseWork) {
 }
 
 TEST(SparseCounters, AutoModeRoutesBySystemSize) {
-    // No override, no env expected in the test environment: kAuto routes a
-    // single cell (~10 unknowns) dense and an 8x4 array (> threshold)
-    // sparse. Guard against an externally set TFETSRAM_SOLVER.
-    if (env::raw("TFETSRAM_SOLVER") != nullptr)
-        GTEST_SKIP() << "TFETSRAM_SOLVER set; auto-routing not observable";
-    spice::ScopedSolverMode scoped(spice::SolverMode::kAuto);
+    // kAuto routes a single cell (~10 unknowns) dense and an 8x4 array
+    // (> threshold) sparse. An explicit context ignores TFETSRAM_SOLVER.
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kAuto);
+    const spice::ScopedContext bind(ctx);
 
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     ASSERT_LT(cell.circuit.num_unknowns(), spice::kSparseAutoThreshold);
@@ -544,7 +559,8 @@ TEST(SparseCounters, FastPathCountersTrackArrayInitialization) {
     // and the drifting-value repeats — including the re-initialization to
     // the complementary data pattern — ride the static fast path. The
     // batched device sweep serves every one of those assemblies.
-    spice::ScopedSolverMode scoped(spice::SolverMode::kSparse);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kSparse);
+    const spice::ScopedContext bind(ctx);
     const spice::SolverStats before = spice::solver_stats();
     array::SramArray arr(proposed_array(4, 4));
     ASSERT_TRUE(arr.initialize(checker(4, 4)));
@@ -565,7 +581,8 @@ TEST(SparseCounters, FastPathCountersTrackArrayInitialization) {
 }
 
 TEST(SparseCounters, DenseOnlyWindowReportsNoFastPathWork) {
-    spice::ScopedSolverMode scoped(spice::SolverMode::kDense);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kDense);
+    const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     const spice::SolverStats before = spice::solver_stats();
     ASSERT_TRUE(solve_dc(cell.circuit, {}).converged);
@@ -576,7 +593,8 @@ TEST(SparseCounters, DenseOnlyWindowReportsNoFastPathWork) {
 }
 
 TEST(SparseCounters, TopologyChangeTriggersFreshAnalysis) {
-    spice::ScopedSolverMode scoped(spice::SolverMode::kSparse);
+    const spice::SimContext ctx = mode_context(spice::SolverMode::kSparse);
+    const spice::ScopedContext bind(ctx);
     spice::Circuit c;
     const spice::NodeId top = c.add_node("top");
     c.add_vsource("V1", top, spice::kGround, spice::Waveform::dc(1.0));

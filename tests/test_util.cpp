@@ -242,14 +242,6 @@ TEST(Env, ParseBoolRecognizesBothSpellingsCaseInsensitively) {
     EXPECT_FALSE(env::parse_bool("maybe").has_value());
 }
 
-TEST(Env, ParseChoiceFindsExactMatchesOnly) {
-    EXPECT_EQ(env::parse_choice("sparse", {"dense", "sparse", "auto"}), 1u);
-    EXPECT_EQ(env::parse_choice("dense", {"dense", "sparse", "auto"}), 0u);
-    EXPECT_FALSE(
-        env::parse_choice("Sparse", {"dense", "sparse", "auto"}).has_value());
-    EXPECT_FALSE(env::parse_choice("", {"dense", "sparse"}).has_value());
-}
-
 TEST(Env, TypedGettersLayerFallbacks) {
     ::setenv("TFETSRAM_TEST_KNOB", "17", 1);
     EXPECT_EQ(env::get_int("TFETSRAM_TEST_KNOB", 3), 17);
