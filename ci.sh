@@ -11,8 +11,9 @@
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
 # pivoting are exactly the code sanitizers exist for) plus the netlist
 # parser suite, the runner suite (journal and BENCH emission build JSON
-# strings), the dense-LU/value-only-C-V oracles, the C-V memo hazards and
-# the non-finite lookup/Newton cases (float-cast-overflow added to UBSan),
+# strings), the dense-LU/value-only-C-V oracles, the C-V memo hazards, the
+# compiled-assembly oracle and the non-finite lookup/Newton cases
+# (float-cast-overflow added to UBSan),
 # then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
@@ -194,7 +195,7 @@ else
   # what catches a NaN or out-of-range double converted to an index.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTFETSRAM_SANITIZE=address,undefined,float-cast-overflow
-  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume test_kernel_diff test_cv_memo test_nonfinite
+  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume test_kernel_diff test_cv_memo test_nonfinite test_assembly_diff
 
   echo "=== asan+ubsan: linear-kernel and differential suites ==="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -231,6 +232,11 @@ else
     ./build-asan/tests/test_kernel_diff
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_cv_memo
+  # Compiled assembly writes through slots bound once per topology, with
+  # no per-write bounds check; the slot arithmetic and every rebinding
+  # path run under the memory sanitizers against the reference stamper.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_assembly_diff
   # Non-finite coordinates must never reach the table lookup's
   # float-to-index conversion; NaN Newton updates must fail the iteration.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -262,6 +268,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_yield
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_context
 # The sparse/dense kernel-selection override is an atomic read in the
 # Newton hot path; the diff suite exercises it across backends under TSan.
+# Assembly slots live on each circuit's devices, never in shared state.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sparse_diff
 # The AMD ordering and static-pivot refactor tests run here too: the
 # reused pivot sequence and ordering arenas are per-SparseLu state that

@@ -23,10 +23,10 @@ void SparseMatrix::reserve_entry(std::size_t r, std::size_t c) {
 void SparseMatrix::finalize_pattern() {
     TFET_EXPECTS(!finalized_);
     // Counting sort by row, then sort + dedup each row's short column run.
-    // The raw triplet list is heavily duplicated (every device position is
-    // registered by both the DC and transient symbolic passes), so this
-    // O(raw + sum_r k_r log k_r) pass beats a global comparison sort of
-    // the full list by a wide margin on array-scale patterns.
+    // The raw triplet list is heavily duplicated (devices share nodes, and
+    // a transistor's stamps overlap), so this O(raw + sum_r k_r log k_r)
+    // pass beats a global comparison sort of the full list by a wide margin
+    // on array-scale patterns.
     row_ptr_.assign(rows_ + 1, 0);
     for (const auto& t : triplets_)
         ++row_ptr_[t.first + 1];
@@ -55,11 +55,10 @@ void SparseMatrix::finalize_pattern() {
     val_.assign(w, 0.0);
     triplets_.clear();
     triplets_.shrink_to_fit();
-    ++generation_;
     finalized_ = true;
 }
 
-std::size_t SparseMatrix::slot_of(std::size_t r, std::size_t c) {
+std::size_t SparseMatrix::slot_of(std::size_t r, std::size_t c) const {
     TFET_EXPECTS(finalized_);
     TFET_EXPECTS(r < rows_ && c < cols_);
     const auto first = col_idx_.begin() +
@@ -76,46 +75,16 @@ void SparseMatrix::set_zero() {
     std::fill(val_.begin(), val_.end(), 0.0);
 }
 
-double& SparseMatrix::ref(std::size_t r, std::size_t c) {
-    TFET_EXPECTS(finalized_);
-    TFET_EXPECTS(r < rows_ && c < cols_);
-    const auto first = col_idx_.begin() +
-                       static_cast<std::ptrdiff_t>(row_ptr_[r]);
-    const auto last = col_idx_.begin() +
-                      static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
-    const auto it = std::lower_bound(first, last, c);
-    TFET_EXPECTS(it != last && *it == c);
-    return val_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
-
-double SparseMatrix::at(std::size_t r, std::size_t c) const {
-    TFET_EXPECTS(finalized_);
-    TFET_EXPECTS(r < rows_ && c < cols_);
-    const auto first = col_idx_.begin() +
-                       static_cast<std::ptrdiff_t>(row_ptr_[r]);
-    const auto last = col_idx_.begin() +
-                      static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
-    const auto it = std::lower_bound(first, last, c);
-    if (it == last || *it != c)
-        return 0.0;
-    return val_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
-
-void SparseMatrix::multiply_into(const Vector& x, Vector& y) const {
+Vector SparseMatrix::multiply(const Vector& x) const {
     TFET_EXPECTS(finalized_);
     TFET_EXPECTS(x.size() == cols_);
-    y.assign(rows_, 0.0);
+    Vector y(rows_, 0.0);
     for (std::size_t r = 0; r < rows_; ++r) {
         double acc = 0.0;
         for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
             acc += val_[k] * x[col_idx_[k]];
         y[r] = acc;
     }
-}
-
-Vector SparseMatrix::multiply(const Vector& x) const {
-    Vector y;
-    multiply_into(x, y);
     return y;
 }
 
@@ -138,7 +107,7 @@ SparseMatrix SparseMatrix::from_dense(const Matrix& m) {
     for (std::size_t r = 0; r < m.rows(); ++r)
         for (std::size_t c = 0; c < m.cols(); ++c)
             if (m(r, c) != 0.0)
-                s.ref(r, c) = m(r, c);
+                s.val_[s.slot_of(r, c)] = m(r, c);
     return s;
 }
 

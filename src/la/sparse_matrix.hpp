@@ -2,14 +2,15 @@
 // Sparse matrix for array-scale MNA systems. The lifecycle mirrors how the
 // circuit solver uses it: a *pattern* phase registers every position a
 // device stamp can ever touch (triplets, duplicates collapse), a one-shot
-// finalize() compresses them into CSR, and the *numeric* phase then runs
-// per Newton iterate — set_zero() + add() into the fixed pattern, with no
-// allocation and no pattern changes. The dense Matrix in la/matrix.hpp
-// remains the kernel of choice below ~64 unknowns (single cells); this type
-// is what makes rows x cols arrays tractable (see docs/SOLVER.md).
+// finalize() compresses them into CSR, writers resolve each position to its
+// value index once (slot_of), and the *numeric* phase then runs per Newton
+// iterate — set_zero() plus indexed adds into value_data(), with no
+// allocation, no search and no pattern changes. The dense Matrix in
+// la/matrix.hpp remains the kernel of choice below ~64 unknowns (single
+// cells); this type is what makes rows x cols arrays tractable (see
+// docs/SOLVER.md).
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -49,37 +50,21 @@ public:
     /// Zero every stored value; the pattern is untouched.
     void set_zero();
 
-    /// Accumulate v into entry (r, c). The entry must be in the pattern —
-    /// stamping outside it is a contract violation (the symbolic pass in
-    /// spice/mna.cpp missed a device position).
-    void add(std::size_t r, std::size_t c, double v) { ref(r, c) += v; }
+    /// Value-array index of stored entry (r, c); the entry must be in the
+    /// pattern (a contract violation otherwise). The slot stays valid until
+    /// the next finalize_pattern(). Repeated writers (spice's compiled
+    /// assembly) resolve each position once and then write through
+    /// value_data()[slot].
+    [[nodiscard]] std::size_t slot_of(std::size_t r, std::size_t c) const;
 
-    /// Mutable reference to a stored entry (must exist in the pattern).
-    [[nodiscard]] double& ref(std::size_t r, std::size_t c);
-
-    /// Value-array index of stored entry (r, c) — the slot stays valid
-    /// until the next finalize_pattern(). Lets repeated writers (the
-    /// stamp-replay plan in spice::Stamper) resolve the position search
-    /// once and reuse the address.
-    [[nodiscard]] std::size_t slot_of(std::size_t r, std::size_t c);
-
-    /// Mutable reference to a stored entry by slot (from slot_of).
-    [[nodiscard]] double& val_at(std::size_t slot) {
-        TFET_EXPECTS(finalized_ && slot < val_.size());
-        return val_[slot];
+    /// Mutable value array, nnz() entries (finalized only). Writes through
+    /// it are unchecked: indices must come from slot_of.
+    [[nodiscard]] double* value_data() {
+        TFET_EXPECTS(finalized_);
+        return val_.data();
     }
 
-    /// Monotone counter bumped by every finalize_pattern(); consumers
-    /// caching slots can detect that their addresses went stale.
-    [[nodiscard]] std::uint64_t pattern_generation() const {
-        return generation_;
-    }
-
-    /// Value at (r, c); 0.0 for positions outside the pattern.
-    [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-    /// y = A * x, reusing y's storage.
-    void multiply_into(const Vector& x, Vector& y) const;
+    /// y = A * x.
     [[nodiscard]] Vector multiply(const Vector& x) const;
 
     /// Dense copy (tests and diagnostics; O(rows*cols) storage).
@@ -101,7 +86,6 @@ private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     bool finalized_ = false;
-    std::uint64_t generation_ = 0;
     std::vector<std::pair<std::size_t, std::size_t>> triplets_;
     std::vector<std::size_t> row_ptr_; ///< size rows_+1 once finalized
     std::vector<std::size_t> col_idx_; ///< sorted within each row

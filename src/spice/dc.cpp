@@ -78,9 +78,10 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
     SolveWorkspace& w = circuit.workspace();
 
     // Pin the linear backend on the circuit's first solve; symbolic work
-    // (pattern discovery + fill-reducing analysis) happens exactly once
-    // per circuit topology, never per Newton iterate. A circuit that
-    // gained nodes or devices since the last solve re-runs both.
+    // (the slot-binding pattern build + fill-reducing analysis) happens
+    // exactly once per circuit topology, never per Newton iterate. A
+    // circuit that gained nodes or devices since the last solve re-runs
+    // both (dense assembly rebinds on its own).
     if (w.topology_revision != circuit.topology_revision()) {
         w.kind = ctx.select_kind(n);
         w.topology_revision = circuit.topology_revision();

@@ -4,157 +4,84 @@
 
 namespace tfetsram::spice {
 
-Stamper::Stamper(la::Matrix& jac, la::Vector& rhs, std::size_t num_nodes)
-    : dense_(&jac), rhs_(rhs), num_nodes_(num_nodes) {
+SlotBinder::SlotBinder(Mode mode, la::SparseMatrix* jac, std::size_t num_nodes,
+                       std::size_t unknowns)
+    : mode_(mode), sparse_(jac), num_nodes_(num_nodes), n_(unknowns) {
+    TFET_EXPECTS(num_nodes_ >= 1 && num_nodes_ - 1 <= n_ && n_ < kDropSlot);
+}
+
+SlotBinder::SlotBinder(std::size_t num_nodes, std::size_t unknowns)
+    : SlotBinder(Mode::kCount, nullptr, num_nodes, unknowns) {}
+
+SlotBinder SlotBinder::dense(std::size_t num_nodes, std::size_t unknowns) {
+    // Every dense slot r * n + c must stay below kDropSlot.
+    TFET_EXPECTS(unknowns <= 65535);
+    return SlotBinder(Mode::kDense, nullptr, num_nodes, unknowns);
+}
+
+SlotBinder::SlotBinder(la::SparseMatrix& jac, std::size_t num_nodes)
+    : SlotBinder(jac.finalized() ? Mode::kCsr : Mode::kPattern, &jac,
+                 num_nodes, jac.rows()) {
     TFET_EXPECTS(jac.rows() == jac.cols());
-    TFET_EXPECTS(rhs_.size() == jac.rows());
-    TFET_EXPECTS(num_nodes_ >= 1);
+    TFET_EXPECTS(!jac.finalized() || jac.nnz() < kDropSlot);
 }
 
-Stamper::Stamper(la::SparseMatrix& jac, la::Vector& rhs,
-                 std::size_t num_nodes, StampPlan* plan)
-    : Stamper(jac, rhs, num_nodes, /*pattern_only=*/false) {
-    TFET_EXPECTS(jac.finalized());
-    plan_ = plan;
-    if (plan_ != nullptr) {
-        if (plan_->ok && plan_->generation == jac.pattern_generation()) {
-            replay_ = true;
-        } else {
-            plan_->reset();
-            plan_->generation = jac.pattern_generation();
-        }
-    }
-}
-
-void Stamper::finish_plan() {
-    if (plan_ == nullptr)
-        return;
-    if (replay_) {
-        // A replay that consumed fewer writes than recorded means the
-        // stamp sequence shrank; the applied writes were all validated,
-        // but the plan no longer describes this assembly mode.
-        if (cursor_ != plan_->slots.size())
-            plan_->reset();
-    } else {
-        plan_->ok = true;
-    }
-}
-
-Stamper::Stamper(la::SparseMatrix& jac, la::Vector& rhs,
-                 std::size_t num_nodes, bool pattern_only)
-    : sparse_(&jac), pattern_only_(pattern_only), rhs_(rhs),
-      num_nodes_(num_nodes) {
-    TFET_EXPECTS(jac.rows() == jac.cols());
-    TFET_EXPECTS(rhs_.size() == jac.rows());
-    TFET_EXPECTS(num_nodes_ >= 1);
-}
-
-Stamper Stamper::pattern_recorder(la::SparseMatrix& jac,
-                                  la::Vector& rhs_scratch,
-                                  std::size_t num_nodes) {
-    return Stamper(jac, rhs_scratch, num_nodes, /*pattern_only=*/true);
-}
-
-void Stamper::acc(std::size_t r, std::size_t c, double v) {
-    if (dense_ != nullptr) {
-        (*dense_)(r, c) += v;
-    } else if (pattern_only_) {
+Slot SlotBinder::entry(std::size_t r, std::size_t c) {
+    if (r == npos || c == npos)
+        return kDropSlot;
+    ++positions_;
+    switch (mode_) {
+    case Mode::kCount:
+        return kDropSlot;
+    case Mode::kPattern:
         sparse_->reserve_entry(r, c);
-    } else if (plan_ != nullptr) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(r) << 32) | static_cast<std::uint64_t>(c);
-        if (replay_) {
-            if (cursor_ < plan_->keys.size() && plan_->keys[cursor_] == key) {
-                sparse_->val_at(plan_->slots[cursor_]) += v;
-                ++cursor_;
-                return;
-            }
-            // The stamp sequence diverged from the recording. Everything
-            // replayed so far was key-validated, so the matrix is intact;
-            // drop the plan and finish this assembly with searched writes.
-            plan_->reset();
-            plan_ = nullptr;
-            replay_ = false;
-            sparse_->add(r, c, v);
-            return;
-        }
-        const std::size_t slot = sparse_->slot_of(r, c);
-        plan_->keys.push_back(key);
-        plan_->slots.push_back(static_cast<std::uint32_t>(slot));
-        sparse_->val_at(slot) += v;
-    } else {
-        sparse_->add(r, c, v);
+        return kDropSlot;
+    case Mode::kCsr:
+        return static_cast<Slot>(sparse_->slot_of(r, c));
+    case Mode::kDense:
+        break;
     }
+    return static_cast<Slot>(r * n_ + c);
 }
 
-std::size_t Stamper::idx(NodeId n) const {
+std::size_t SlotBinder::idx(NodeId n) const {
     TFET_EXPECTS(n < num_nodes_);
     return n == kGround ? npos : n - 1;
 }
 
-std::size_t Stamper::branch_index(std::size_t branch) const {
-    const std::size_t i = (num_nodes_ - 1) + branch;
-    TFET_EXPECTS(i < rhs_.size());
-    return i;
+Slot SlotBinder::row(NodeId n) const {
+    const std::size_t i = idx(n);
+    return i == npos ? kDropSlot : static_cast<Slot>(i);
 }
 
-void Stamper::add_conductance(NodeId a, NodeId b, double g) {
+ConductanceSlots SlotBinder::conductance(NodeId a, NodeId b) {
     const std::size_t ia = idx(a);
     const std::size_t ib = idx(b);
-    if (ia != npos)
-        acc(ia, ia, g);
-    if (ib != npos)
-        acc(ib, ib, g);
-    if (ia != npos && ib != npos) {
-        acc(ia, ib, -g);
-        acc(ib, ia, -g);
-    }
+    return {entry(ia, ia), entry(ib, ib), entry(ia, ib), entry(ib, ia)};
 }
 
-void Stamper::add_current(NodeId from, NodeId to, double i) {
-    const std::size_t ifrom = idx(from);
-    const std::size_t ito = idx(to);
-    if (ifrom != npos)
-        rhs_[ifrom] -= i;
-    if (ito != npos)
-        rhs_[ito] += i;
+CurrentSlots SlotBinder::current(NodeId from, NodeId to) {
+    return {row(from), row(to)};
 }
 
-void Stamper::add_transconductance(NodeId out_from, NodeId out_to,
-                                   NodeId ctrl_pos, NodeId ctrl_neg,
-                                   double g) {
-    const std::size_t iof = idx(out_from);
-    const std::size_t iot = idx(out_to);
-    const std::size_t icp = idx(ctrl_pos);
-    const std::size_t icn = idx(ctrl_neg);
-    if (iof != npos) {
-        if (icp != npos)
-            acc(iof, icp, g);
-        if (icn != npos)
-            acc(iof, icn, -g);
-    }
-    if (iot != npos) {
-        if (icp != npos)
-            acc(iot, icp, -g);
-        if (icn != npos)
-            acc(iot, icn, g);
-    }
+TransconductanceSlots SlotBinder::transconductance(NodeId f, NodeId t,
+                                                   NodeId cp, NodeId cn) {
+    const std::size_t iof = idx(f);
+    const std::size_t iot = idx(t);
+    const std::size_t icp = idx(cp);
+    const std::size_t icn = idx(cn);
+    return {entry(iof, icp), entry(iof, icn), entry(iot, icp),
+            entry(iot, icn)};
 }
 
-void Stamper::stamp_voltage_source(std::size_t branch, NodeId pos, NodeId neg,
-                                   double volts) {
-    const std::size_t ib = branch_index(branch);
+VoltageSourceSlots SlotBinder::voltage_source(std::size_t branch, NodeId pos,
+                                              NodeId neg) {
+    const std::size_t ib = (num_nodes_ - 1) + branch;
+    TFET_EXPECTS(ib < n_);
     const std::size_t ip = idx(pos);
     const std::size_t in = idx(neg);
-    if (ip != npos) {
-        acc(ip, ib, 1.0);
-        acc(ib, ip, 1.0);
-    }
-    if (in != npos) {
-        acc(in, ib, -1.0);
-        acc(ib, in, -1.0);
-    }
-    rhs_[ib] += volts;
+    return {entry(ip, ib), entry(ib, ip), entry(in, ib), entry(ib, in),
+            static_cast<Slot>(ib)};
 }
 
 } // namespace tfetsram::spice

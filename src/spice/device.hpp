@@ -1,11 +1,14 @@
 #pragma once
-// Device abstraction for the MNA engine. Each device knows how to linearize
-// itself into the Jacobian / right-hand side at a given candidate solution
-// ("stamping", the classic SPICE companion-model formulation), how to carry
-// dynamic state across transient steps, and how to report its dissipated
-// power for operating-point post-processing.
+// Device abstraction for the MNA engine. Each device knows how to bind
+// every Jacobian / right-hand-side position it can ever touch to a slot of
+// the assembly layout, once per topology revision (SPICE3's per-device
+// TSTALLOC setup), how to linearize itself into those slots at a candidate
+// solution ("stamping", the classic SPICE companion-model formulation), how
+// to carry dynamic state across transient steps, and how to report its
+// dissipated power for operating-point post-processing.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,102 +40,133 @@ struct AnalysisState {
     bool first_transient_step = false; ///< forces backward Euler on step 1
 };
 
-/// Memoized stamp addresses for one sparse assembly mode. The first
-/// assembly after a pattern rebuild records, per Jacobian write, the
-/// packed (row, col) key and the CSR value slot the position search
-/// resolved to; subsequent assemblies of the same mode replay the slots
-/// and skip the per-write binary search. Every replayed write is
-/// validated against its recorded key, so a device that changes its
-/// stamp sequence (different positions or count) can never corrupt the
-/// matrix: the replay falls back to searched writes mid-assembly and the
-/// plan re-records on the next one. `generation` ties the slots to a
-/// specific SparseMatrix::pattern_generation().
-struct StampPlan {
-    std::vector<std::uint64_t> keys;  ///< (row << 32) | col, per write
-    std::vector<std::uint32_t> slots; ///< CSR value index, per write
-    std::uint64_t generation = 0;     ///< pattern the slots belong to
-    bool ok = false;                  ///< a complete recording is stored
-    void reset() {
-        keys.clear();
-        slots.clear();
-        ok = false;
-    }
+/// Index of one entry of the assembled system: a Jacobian entry (r * n + c
+/// in the dense layout, the CSR value index in the sparse one) or a
+/// right-hand-side row. Devices resolve every position they can ever stamp
+/// once per topology revision (Device::bind, through a SlotBinder) and then
+/// assemble with plain indexed adds. kDropSlot marks a ground row or
+/// column: writes to it are discarded.
+using Slot = std::uint32_t;
+inline constexpr Slot kDropSlot = std::numeric_limits<Slot>::max();
+
+/// Slots of a conductance g between a and b, in write order:
+/// (a,a) += g, (b,b) += g, (a,b) -= g, (b,a) -= g.
+struct ConductanceSlots {
+    Slot aa = kDropSlot, bb = kDropSlot, ab = kDropSlot, ba = kDropSlot;
 };
 
-/// Accumulates the linearized system. Maps node/branch ids to unknown
-/// indices (ground is eliminated) and enforces the KCL sign convention:
-/// rows are "sum of currents leaving the node = injected current".
-///
-/// Three backends behind one stamping interface, so devices never know
-/// which kernel the solver picked: dense (into a la::Matrix), sparse
-/// numeric (into a finalized la::SparseMatrix pattern), and a
-/// pattern-recording mode that registers the positions a stamp touches
-/// without writing values (the symbolic pass of spice::build_pattern).
-class Stamper {
+/// RHS slots of a current forced from `from` to `to`.
+struct CurrentSlots {
+    Slot from = kDropSlot, to = kDropSlot;
+};
+
+/// Slots of g*(v(cp) - v(cn)) flowing from `f` to `t`, in write order:
+/// (f,cp) += g, (f,cn) -= g, (t,cp) -= g, (t,cn) += g.
+struct TransconductanceSlots {
+    Slot fp = kDropSlot, fn = kDropSlot, tp = kDropSlot, tn = kDropSlot;
+};
+
+/// Slots of a voltage source's constraint: the branch couplings of its
+/// positive and negative node, then the branch row of the RHS.
+struct VoltageSourceSlots {
+    Slot pb = kDropSlot, bp = kDropSlot, nb = kDropSlot, bn = kDropSlot;
+    Slot rhs = kDropSlot;
+};
+
+/// Resolves stamp positions to slots for one layout. Maps node/branch ids
+/// to unknown indices (ground becomes kDropSlot) and checks every node and
+/// branch once, here, so assembly writes unchecked. Four passes share the
+/// device bind code:
+///   - count: tallies the positions (sizes the CSR pattern build);
+///   - pattern: registers each position in an unfinalized CSR matrix;
+///   - CSR: resolves each position to its value index in a finalized one;
+///   - dense: resolves (r, c) to r * n + c.
+class SlotBinder {
 public:
-    Stamper(la::Matrix& jac, la::Vector& rhs, std::size_t num_nodes);
+    /// Counting pass over a system of `unknowns` unknowns.
+    SlotBinder(std::size_t num_nodes, std::size_t unknowns);
+    /// Dense layout of an unknowns x unknowns row-major matrix.
+    static SlotBinder dense(std::size_t num_nodes, std::size_t unknowns);
+    /// Pattern pass into `jac` (not finalized) or CSR pass (finalized).
+    SlotBinder(la::SparseMatrix& jac, std::size_t num_nodes);
 
-    /// Sparse numeric stamping; `jac`'s pattern must be finalized and
-    /// cover every position the circuit stamps. With a non-null `plan`
-    /// the stamper records or replays the position searches (see
-    /// StampPlan); the plan must be dedicated to this matrix and one
-    /// stamping sequence.
-    Stamper(la::SparseMatrix& jac, la::Vector& rhs, std::size_t num_nodes,
-            StampPlan* plan = nullptr);
+    ConductanceSlots conductance(NodeId a, NodeId b);
+    CurrentSlots current(NodeId from, NodeId to);
+    TransconductanceSlots transconductance(NodeId f, NodeId t, NodeId cp,
+                                           NodeId cn);
+    VoltageSourceSlots voltage_source(std::size_t branch, NodeId pos,
+                                      NodeId neg);
 
-    /// Seal the plan after a full stamping sequence: a completed
-    /// recording becomes replayable; an under-consumed replay (fewer
-    /// writes than recorded) is discarded. No-op without a plan.
-    void finish_plan();
-
-    /// Pattern-recording stamper: matrix writes register CSR entries in
-    /// the (unfinalized) `jac`; rhs_scratch absorbs RHS writes unread.
-    static Stamper pattern_recorder(la::SparseMatrix& jac,
-                                    la::Vector& rhs_scratch,
-                                    std::size_t num_nodes);
-
-    /// Conductance g between nodes a and b.
-    void add_conductance(NodeId a, NodeId b, double g);
-
-    /// Current i forced from node `from` to node `to` (through the device).
-    void add_current(NodeId from, NodeId to, double i);
-
-    /// Current g*(v(ctrl_pos) - v(ctrl_neg)) from out_from to out_to.
-    void add_transconductance(NodeId out_from, NodeId out_to, NodeId ctrl_pos,
-                              NodeId ctrl_neg, double g);
-
-    /// Voltage source constraint v(pos) - v(neg) = volts with its branch
-    /// current unknown. `branch` is the source's branch index.
-    void stamp_voltage_source(std::size_t branch, NodeId pos, NodeId neg,
-                              double volts);
-
-    /// Unknown-vector index of a branch current.
-    [[nodiscard]] std::size_t branch_index(std::size_t branch) const;
-
-    /// True in the pattern-recording backend: stamped values are
-    /// discarded, so devices may skip expensive model evaluation and
-    /// register their positions with placeholder values instead.
-    [[nodiscard]] bool pattern_only() const { return pattern_only_; }
+    /// Positions bound so far (duplicates included).
+    [[nodiscard]] std::size_t positions() const { return positions_; }
 
 private:
-    Stamper(la::SparseMatrix& jac, la::Vector& rhs, std::size_t num_nodes,
-            bool pattern_only);
+    enum class Mode { kCount, kPattern, kCsr, kDense };
+    SlotBinder(Mode mode, la::SparseMatrix* jac, std::size_t num_nodes,
+               std::size_t unknowns);
 
-    /// Route one Jacobian accumulation to the active backend.
-    void acc(std::size_t r, std::size_t c, double v);
-
-    // Returns the unknown index for a node, or npos for ground.
+    /// Slot of unknown-index position (r, c); kDropSlot when either is
+    /// ground (npos).
+    Slot entry(std::size_t r, std::size_t c);
+    /// Unknown index of a node, npos for ground.
     [[nodiscard]] std::size_t idx(NodeId n) const;
+    /// RHS slot of a node.
+    [[nodiscard]] Slot row(NodeId n) const;
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    la::Matrix* dense_ = nullptr;
-    la::SparseMatrix* sparse_ = nullptr;
-    bool pattern_only_ = false;
-    StampPlan* plan_ = nullptr;
-    bool replay_ = false;    ///< plan_ holds a recording being replayed
-    std::size_t cursor_ = 0; ///< next plan entry to replay
-    la::Vector& rhs_;
+    Mode mode_;
+    la::SparseMatrix* sparse_;
     std::size_t num_nodes_;
+    std::size_t n_;
+    std::size_t positions_ = 0;
+};
+
+/// Accumulates the linearized system through bound slots. Rows follow the
+/// KCL sign convention: "sum of currents leaving the node = injected
+/// current". `jac` and `rhs` are the value arrays of the layout the slots
+/// were bound to; the binder checked every slot against it.
+class Stamper {
+public:
+    Stamper(double* jac, double* rhs) : jac_(jac), rhs_(rhs) {}
+
+    void add_conductance(const ConductanceSlots& s, double g) {
+        add(s.aa, g);
+        add(s.bb, g);
+        add(s.ab, -g);
+        add(s.ba, -g);
+    }
+
+    void add_current(const CurrentSlots& s, double i) {
+        if (s.from != kDropSlot)
+            rhs_[s.from] -= i;
+        if (s.to != kDropSlot)
+            rhs_[s.to] += i;
+    }
+
+    void add_transconductance(const TransconductanceSlots& s, double g) {
+        add(s.fp, g);
+        add(s.fn, -g);
+        add(s.tp, -g);
+        add(s.tn, g);
+    }
+
+    void stamp_voltage_source(const VoltageSourceSlots& s, double volts) {
+        add(s.pb, 1.0);
+        add(s.bp, 1.0);
+        add(s.nb, -1.0);
+        add(s.bn, -1.0);
+        rhs_[s.rhs] += volts;
+    }
+
+    /// One Jacobian accumulation (a gmin shunt on its diagonal slot).
+    void add(Slot s, double v) {
+        if (s != kDropSlot)
+            jac_[s] += v;
+    }
+
+private:
+    double* jac_;
+    double* rhs_;
 };
 
 /// Base class of every circuit element.
@@ -145,6 +179,11 @@ public:
     Device& operator=(const Device&) = delete;
 
     [[nodiscard]] const std::string& label() const { return label_; }
+
+    /// Resolve every position stamp() can write, in any analysis mode,
+    /// to a slot of the binder's layout. Called once per topology revision
+    /// and layout; stamp() then writes through the stored slots only.
+    virtual void bind(SlotBinder& b) = 0;
 
     /// Linearize this device at candidate solution x and add its stamps.
     virtual void stamp(Stamper& st, const AnalysisState& as,

@@ -15,9 +15,11 @@ Resistor::Resistor(std::string label, NodeId a, NodeId b, double ohms)
     TFET_EXPECTS(a != b);
 }
 
+void Resistor::bind(SlotBinder& b) { g_slots_ = b.conductance(a_, b_); }
+
 void Resistor::stamp(Stamper& st, const AnalysisState& /*as*/,
                      const la::Vector& /*x*/) {
-    st.add_conductance(a_, b_, 1.0 / ohms_);
+    st.add_conductance(g_slots_, 1.0 / ohms_);
 }
 
 double Resistor::power(const la::Vector& x) const {
@@ -31,6 +33,11 @@ Capacitor::Capacitor(std::string label, NodeId a, NodeId b, double farads)
     : Device(std::move(label)), a_(a), b_(b), farads_(farads) {
     TFET_EXPECTS(farads > 0.0);
     TFET_EXPECTS(a != b);
+}
+
+void Capacitor::bind(SlotBinder& b) {
+    g_slots_ = b.conductance(a_, b_);
+    i_slots_ = b.current(a_, b_);
 }
 
 void Capacitor::stamp(Stamper& st, const AnalysisState& as,
@@ -49,8 +56,8 @@ void Capacitor::stamp(Stamper& st, const AnalysisState& as,
         geq = farads_ / as.dt;
         ieq = -geq * v_prev_;
     }
-    st.add_conductance(a_, b_, geq);
-    st.add_current(a_, b_, ieq);
+    st.add_conductance(g_slots_, geq);
+    st.add_current(i_slots_, ieq);
 }
 
 void Capacitor::begin_transient(const la::Vector& x0) {
@@ -94,10 +101,14 @@ VoltageSource::VoltageSource(std::string label, NodeId pos, NodeId neg,
     TFET_EXPECTS(pos != neg);
 }
 
+void VoltageSource::bind(SlotBinder& b) {
+    slots_ = b.voltage_source(branch_, pos_, neg_);
+}
+
 void VoltageSource::stamp(Stamper& st, const AnalysisState& as,
                           const la::Vector& /*x*/) {
     const double v = wave_.at(as.time) * as.source_scale;
-    st.stamp_voltage_source(branch_, pos_, neg_, v);
+    st.stamp_voltage_source(slots_, v);
 }
 
 double VoltageSource::delivered_current(const la::Vector& x) const {
@@ -121,9 +132,11 @@ CurrentSource::CurrentSource(std::string label, NodeId from, NodeId to,
     TFET_EXPECTS(from != to);
 }
 
+void CurrentSource::bind(SlotBinder& b) { slots_ = b.current(from_, to_); }
+
 void CurrentSource::stamp(Stamper& st, const AnalysisState& as,
                           const la::Vector& /*x*/) {
-    st.add_current(from_, to_, wave_.at(as.time) * as.source_scale);
+    st.add_current(slots_, wave_.at(as.time) * as.source_scale);
 }
 
 double CurrentSource::power(const la::Vector& x) const {
@@ -151,14 +164,19 @@ void LinearizedLoad::set_load(double scale, double i0, double g, double v0) {
     v0_ = v0;
 }
 
+void LinearizedLoad::bind(SlotBinder& b) {
+    g_slots_ = b.conductance(node_, kGround);
+    i_slots_ = b.current(node_, kGround);
+}
+
 void LinearizedLoad::stamp(Stamper& st, const AnalysisState& /*as*/,
                            const la::Vector& /*x*/) {
     if (scale_ == 0.0)
         return;
     // Norton form of scale*(i0 + g*(V - v0)) leaving the node: conductance
     // scale*g to ground plus the bias-point constant scale*(i0 - g*v0).
-    st.add_conductance(node_, kGround, scale_ * g_);
-    st.add_current(node_, kGround, scale_ * (i0_ - g_ * v0_));
+    st.add_conductance(g_slots_, scale_ * g_);
+    st.add_current(i_slots_, scale_ * (i0_ - g_ * v0_));
 }
 
 double LinearizedLoad::power(const la::Vector& x) const {
@@ -182,9 +200,11 @@ double TimedSwitch::resistance_at(double t) const {
     return r_off_ * std::pow(r_on_ / r_off_, c);
 }
 
+void TimedSwitch::bind(SlotBinder& b) { g_slots_ = b.conductance(a_, b_); }
+
 void TimedSwitch::stamp(Stamper& st, const AnalysisState& as,
                         const la::Vector& /*x*/) {
-    st.add_conductance(a_, b_, 1.0 / resistance_at(as.time));
+    st.add_conductance(g_slots_, 1.0 / resistance_at(as.time));
 }
 
 double TimedSwitch::power(const la::Vector& x) const {

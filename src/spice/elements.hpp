@@ -12,16 +12,20 @@ class Resistor final : public Device {
 public:
     Resistor(std::string label, NodeId a, NodeId b, double ohms);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
 
+    [[nodiscard]] NodeId a() const { return a_; }
+    [[nodiscard]] NodeId b() const { return b_; }
     [[nodiscard]] double resistance() const { return ohms_; }
 
 private:
     NodeId a_;
     NodeId b_;
     double ohms_;
+    ConductanceSlots g_slots_;
 };
 
 /// Linear capacitor between two nodes. Open circuit in DC; integrates with
@@ -30,6 +34,7 @@ class Capacitor final : public Device {
 public:
     Capacitor(std::string label, NodeId a, NodeId b, double farads);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     void begin_transient(const la::Vector& x0) override;
@@ -38,12 +43,16 @@ public:
     const double* restore_state(const double* in) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
 
+    [[nodiscard]] NodeId a() const { return a_; }
+    [[nodiscard]] NodeId b() const { return b_; }
     [[nodiscard]] double capacitance() const { return farads_; }
 
 private:
     NodeId a_;
     NodeId b_;
     double farads_;
+    ConductanceSlots g_slots_; ///< transient companion only
+    CurrentSlots i_slots_;
     double v_prev_ = 0.0; ///< accepted branch voltage at the previous step
     double i_prev_ = 0.0; ///< accepted branch current at the previous step
 };
@@ -53,6 +62,7 @@ class VoltageSource final : public Device {
 public:
     VoltageSource(std::string label, NodeId pos, NodeId neg, Waveform wave);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
@@ -72,6 +82,8 @@ public:
         unknown_index_ = unknown_index;
     }
     [[nodiscard]] std::size_t branch() const { return branch_; }
+    [[nodiscard]] NodeId pos() const { return pos_; }
+    [[nodiscard]] NodeId neg() const { return neg_; }
 
 private:
     NodeId pos_;
@@ -79,6 +91,7 @@ private:
     Waveform wave_;
     std::size_t branch_ = 0;
     std::size_t unknown_index_ = 0;
+    VoltageSourceSlots slots_;
 };
 
 /// Independent current source pushing current from `from` to `to` through
@@ -87,6 +100,7 @@ class CurrentSource final : public Device {
 public:
     CurrentSource(std::string label, NodeId from, NodeId to, Waveform wave);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
@@ -95,11 +109,14 @@ public:
 
     void set_waveform(Waveform wave) { wave_ = std::move(wave); }
     [[nodiscard]] const Waveform& waveform() const { return wave_; }
+    [[nodiscard]] NodeId from() const { return from_; }
+    [[nodiscard]] NodeId to() const { return to_; }
 
 private:
     NodeId from_;
     NodeId to_;
     Waveform wave_;
+    CurrentSlots slots_;
 };
 
 /// Lumped Norton boundary load: the mixed-level array engine's stamp for a
@@ -118,13 +135,14 @@ class LinearizedLoad final : public Device {
 public:
     LinearizedLoad(std::string label, NodeId node);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
 
     /// Reprogram the load: `scale` cells each drawing i0 + g*(V - v0).
-    /// A scale of 0 turns the load off (stamps nothing but stays in the
-    /// sparsity pattern via the diagonal).
+    /// A scale of 0 turns the load off (stamps nothing; its slots stay
+    /// bound).
     void set_load(double scale, double i0, double g, double v0);
 
     [[nodiscard]] double scale() const { return scale_; }
@@ -133,6 +151,9 @@ public:
         return scale_ * (i0_ + g_ * (v - v0_));
     }
     [[nodiscard]] double bias() const { return v0_; }
+    [[nodiscard]] double i0() const { return i0_; }
+    [[nodiscard]] double g() const { return g_; }
+    [[nodiscard]] NodeId node() const { return node_; }
 
 private:
     NodeId node_;
@@ -140,6 +161,8 @@ private:
     double i0_ = 0.0;
     double g_ = 0.0;
     double v0_ = 0.0;
+    ConductanceSlots g_slots_;
+    CurrentSlots i_slots_;
 };
 
 /// Time-controlled switch (e.g. a bitline precharge device). The control
@@ -150,6 +173,7 @@ public:
     TimedSwitch(std::string label, NodeId a, NodeId b, double r_on,
                 double r_off, Waveform control);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     [[nodiscard]] double power(const la::Vector& x) const override;
@@ -162,12 +186,16 @@ public:
     /// Resistance at time t.
     [[nodiscard]] double resistance_at(double t) const;
 
+    [[nodiscard]] NodeId a() const { return a_; }
+    [[nodiscard]] NodeId b() const { return b_; }
+
 private:
     NodeId a_;
     NodeId b_;
     double r_on_;
     double r_off_;
     Waveform control_;
+    ConductanceSlots g_slots_;
 };
 
 } // namespace tfetsram::spice

@@ -82,7 +82,6 @@ void DeviceEvalBatch::rebuild(Circuit& circuit) {
     }
 
     built_revision_ = circuit.topology_revision();
-    ready_ = false;
 }
 
 void DeviceEvalBatch::evaluate(Circuit& circuit, const la::Vector& x) {
@@ -100,7 +99,6 @@ void DeviceEvalBatch::evaluate(Circuit& circuit, const la::Vector& x) {
         g.model->iv_many(vgs_.data() + g.first, vds_.data() + g.first, g.count,
                          iv_.data() + g.first);
     solver_stats().batched_evals += n;
-    ready_ = true;
 }
 
 } // namespace tfetsram::spice

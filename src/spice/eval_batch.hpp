@@ -33,10 +33,6 @@ public:
     /// the batch instead of re-dispatching into the model.
     void evaluate(Circuit& circuit, const la::Vector& x);
 
-    /// True once evaluate() has run for the current layout. stamp() falls
-    /// back to the scalar path when false (e.g. during pattern discovery).
-    [[nodiscard]] bool ready() const { return ready_; }
-
     /// Precomputed sample for a slot handed out during layout build.
     [[nodiscard]] const IvSample& sample(std::size_t slot) const {
         return iv_[slot];
@@ -62,7 +58,6 @@ private:
     std::vector<double> vds_;
     std::vector<IvSample> iv_;
     std::uint64_t built_revision_ = 0;
-    bool ready_ = false;
 };
 
 } // namespace tfetsram::spice

@@ -4,8 +4,8 @@
 // big/sparse it is. The flat array engine reports one for its whole-array
 // circuit; the mixed-level engine (src/hier) reports one per active
 // partition, which is how bench/array_scaling records per-partition
-// unknowns/nnz/fill in BENCH_array_scaling.json (docs/SOLVER.md,
-// docs/HIERARCHY.md).
+// unknowns/nnz/fill in the BENCH_array_scaling.json it writes to its output
+// directory (TFETSRAM_OUT_DIR; docs/SOLVER.md, docs/HIERARCHY.md).
 
 #include <cstddef>
 

@@ -45,55 +45,45 @@ CvSample Transistor::cv_at(double vgs, double vds) {
     return cv_memo_.cv;
 }
 
+void Transistor::bind(SlotBinder& b) {
+    gm_slots_ = b.transconductance(d_, s_, g_, s_);
+    gds_slots_ = b.conductance(d_, s_);
+    ids_slots_ = b.current(d_, s_);
+    cgs_slots_ = {b.conductance(g_, s_), b.current(g_, s_)};
+    cgd_slots_ = {b.conductance(g_, d_), b.current(g_, d_)};
+}
+
 void Transistor::stamp(Stamper& st, const AnalysisState& as,
                        const la::Vector& x) {
-    if (st.pattern_only()) {
-        // Symbolic pass: only the touched positions matter, so skip the
-        // model evaluation (table lookups dominate pattern building on
-        // large arrays) and register the channel + capacitor stamps with
-        // placeholder values.
-        st.add_transconductance(d_, s_, g_, s_, 0.0);
-        st.add_conductance(d_, s_, 0.0);
-        st.add_current(d_, s_, 0.0);
-        if (as.mode == AnalysisMode::kTransient) {
-            st.add_conductance(g_, s_, 0.0);
-            st.add_current(g_, s_, 0.0);
-            st.add_conductance(g_, d_, 0.0);
-            st.add_current(g_, d_, 0.0);
-        }
-        return;
-    }
-
     const double vgs = branch_voltage(x, g_, s_);
     const double vds = branch_voltage(x, d_, s_);
 
     // Assembly precomputes every transistor's sample in one batched sweep
     // (DeviceEvalBatch evaluates at the same x this stamp sees, with
-    // bitwise-identical arithmetic). The scalar fallback covers pattern
-    // discovery and any stamping outside the assemble() entry points.
-    const IvSample iv = (batch_ != nullptr && batch_->ready())
-                            ? batch_->sample(batch_slot_)
-                            : model_->iv(vgs, vds);
+    // bitwise-identical arithmetic). The scalar call covers a transistor
+    // stamped outside any circuit.
+    const IvSample iv = batch_ != nullptr ? batch_->sample(batch_slot_)
+                                          : model_->iv(vgs, vds);
     const double ids = iv.ids * width_um_;
     const double gm = iv.gm * width_um_;
     const double gds = std::max(iv.gds * width_um_, kGdsFloor);
 
     // Linearized channel: Ids ~= ids + gm*(dvgs) + gds*(dvds), flowing D->S.
-    st.add_transconductance(d_, s_, g_, s_, gm);
-    st.add_conductance(d_, s_, gds);
+    st.add_transconductance(gm_slots_, gm);
+    st.add_conductance(gds_slots_, gds);
     const double ieq = ids - gm * vgs - gds * vds;
-    st.add_current(d_, s_, ieq);
+    st.add_current(ids_slots_, ieq);
 
     if (as.mode == AnalysisMode::kTransient) {
         const CvSample cv = cv_at(vgs, vds);
-        stamp_cap(st, as, g_, s_, cv.cgs * width_um_, cgs_state_);
-        stamp_cap(st, as, g_, d_, cv.cgd * width_um_, cgd_state_);
+        stamp_cap(st, as, cgs_slots_, cv.cgs * width_um_, cgs_state_);
+        stamp_cap(st, as, cgd_slots_, cv.cgd * width_um_, cgd_state_);
     }
 }
 
-void Transistor::stamp_cap(Stamper& st, const AnalysisState& as, NodeId a,
-                           NodeId b, double farads,
-                           const CapState& cs) const {
+void Transistor::stamp_cap(Stamper& st, const AnalysisState& as,
+                           const CapSlots& slots, double farads,
+                           const CapState& cs) {
     TFET_EXPECTS(as.dt > 0.0);
     const bool use_trap = as.integrator == Integrator::kTrapezoidal &&
                           !as.first_transient_step;
@@ -106,8 +96,8 @@ void Transistor::stamp_cap(Stamper& st, const AnalysisState& as, NodeId a,
         geq = farads / as.dt;
         ieq = -geq * cs.v_prev;
     }
-    st.add_conductance(a, b, geq);
-    st.add_current(a, b, ieq);
+    st.add_conductance(slots.g, geq);
+    st.add_current(slots.i, ieq);
 }
 
 void Transistor::accept_cap(const AnalysisState& as, double v_new,

@@ -18,6 +18,7 @@ public:
     Transistor(std::string label, TransistorModelPtr model, NodeId drain,
                NodeId gate, NodeId source, double width_um);
 
+    void bind(SlotBinder& b) override;
     void stamp(Stamper& st, const AnalysisState& as,
                const la::Vector& x) override;
     void begin_transient(const la::Vector& x0) override;
@@ -37,9 +38,9 @@ public:
     void set_model(TransistorModelPtr model);
 
     /// Adopt a precomputed I-V slot in the circuit's DeviceEvalBatch.
-    /// Called by the batch during layout build; stamp() consumes the slot
-    /// whenever the batch holds fresh samples and falls back to the scalar
-    /// model call otherwise (pattern discovery, standalone stamping).
+    /// Called by the batch during layout build; stamp() then consumes the
+    /// slot (assemble() evaluates the batch before every stamp sweep). A
+    /// transistor outside any circuit stamps through the scalar model call.
     void attach_batch(const DeviceEvalBatch* batch, std::size_t slot) {
         batch_ = batch;
         batch_slot_ = slot;
@@ -56,8 +57,15 @@ private:
         double i_prev = 0.0;
     };
 
-    void stamp_cap(Stamper& st, const AnalysisState& as, NodeId a, NodeId b,
-                   double farads, const CapState& cs) const;
+    /// Bound slots of one internal capacitor's companion stamp.
+    struct CapSlots {
+        ConductanceSlots g;
+        CurrentSlots i;
+    };
+
+    static void stamp_cap(Stamper& st, const AnalysisState& as,
+                          const CapSlots& slots, double farads,
+                          const CapState& cs);
     static void accept_cap(const AnalysisState& as, double v_new, double farads,
                            CapState& cs);
 
@@ -89,6 +97,12 @@ private:
     double width_um_;
     CapState cgs_state_;
     CapState cgd_state_;
+    // Channel slots, then the transient-only capacitor slots.
+    TransconductanceSlots gm_slots_;
+    ConductanceSlots gds_slots_;
+    CurrentSlots ids_slots_;
+    CapSlots cgs_slots_;
+    CapSlots cgd_slots_;
     CvMemo cv_memo_ = kNoCvMemo;
 };
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "la/lu.hpp"
 #include "la/matrix.hpp"
@@ -37,8 +38,17 @@ struct SolveWorkspace {
     // --- sparse backend ---
     la::SparseMatrix sjac;   ///< CSR MNA system (pattern frozen per circuit)
     la::SparseLu slu;        ///< symbolic once, numeric refactor per iterate
-    StampPlan plan_dc;       ///< memoized stamp addresses, DC assemblies
-    StampPlan plan_tr;       ///< memoized stamp addresses, transient ones
+
+    /// What the devices' slots index (spice/mna.cpp): the topology revision
+    /// they were bound at (0 = never), the CSR matrix (null for dense) and
+    /// its value count. An assembly into any other target rebinds first.
+    struct SlotLayout {
+        std::uint64_t topology_revision = 0;
+        const la::SparseMatrix* csr = nullptr;
+        std::size_t extent = 0;
+    };
+    SlotLayout layout;
+    std::vector<Slot> gmin_slots; ///< diagonal slot of every node unknown
 
     /// Backend decided at the circuit's first Newton solve; empty until
     /// then. Pinned until the circuit's topology changes (see

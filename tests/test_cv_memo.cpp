@@ -119,7 +119,9 @@ struct LoneDevice {
     la::Matrix jacobian(const la::Vector& x) {
         la::Matrix jac(2, 2);
         la::Vector rhs(2, 0.0);
-        spice::Stamper st(jac, rhs, 3);
+        spice::SlotBinder b = spice::SlotBinder::dense(3, 2);
+        t.bind(b);
+        spice::Stamper st(jac.data(), rhs.data());
         t.stamp(st, step(), x);
         return jac;
     }

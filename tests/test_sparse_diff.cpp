@@ -158,7 +158,7 @@ TEST(SparseDenseRandom, RepeatedRefactorsMatchAcrossValueChanges) {
         for (std::size_t r = 0; r < n; ++r)
             for (std::size_t c = 0; c < n; ++c)
                 if (a(r, c) != 0.0)
-                    sa.add(r, c, a(r, c));
+                    sa.value_data()[sa.slot_of(r, c)] += a(r, c);
 
         la::Vector b(n);
         for (std::size_t i = 0; i < n; ++i)
@@ -200,7 +200,8 @@ TEST(SparseDenseRandom, StaticPivotPathAgreesWithAlwaysPivotPath) {
             for (std::size_t r = 0; r < n; ++r)
                 for (std::size_t c = 0; c < n; ++c)
                     if (a(r, c) != 0.0)
-                        sa.add(r, c, a(r, c) + rng.uniform(-0.1, 0.1));
+                        sa.value_data()[sa.slot_of(r, c)] +=
+                            a(r, c) + rng.uniform(-0.1, 0.1);
         }
         ASSERT_TRUE(fast.refactor(sa)) << "pass " << pass;
         ASSERT_TRUE(reference.refactor(sa)) << "pass " << pass;
