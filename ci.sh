@@ -12,7 +12,8 @@
 # pivoting are exactly the code sanitizers exist for) plus the netlist
 # parser suite, the runner suite (journal and BENCH emission build JSON
 # strings), the dense-LU/value-only-C-V oracles, the C-V memo hazards, the
-# compiled-assembly oracle and the non-finite lookup/Newton cases
+# compiled-assembly oracle, the folded-source and AMD dense-node oracles
+# and the non-finite lookup/Newton cases
 # (float-cast-overflow added to UBSan),
 # then a
 # ThreadSanitizer build running the concurrent subsystem's tests
@@ -195,7 +196,7 @@ else
   # what catches a NaN or out-of-range double converted to an index.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTFETSRAM_SANITIZE=address,undefined,float-cast-overflow
-  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume test_kernel_diff test_cv_memo test_nonfinite test_assembly_diff
+  cmake --build build-asan -j "$JOBS" --target test_la test_sparse_diff test_hier_diff test_yield test_netlist test_runner test_transient_resume test_kernel_diff test_cv_memo test_nonfinite test_assembly_diff test_source_fold test_amd_dense
 
   echo "=== asan+ubsan: linear-kernel and differential suites ==="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -237,6 +238,13 @@ else
   # path run under the memory sanitizers against the reference stamper.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_assembly_diff
+  # The dense Newton solve gathers its free block and scatters the folded
+  # sources' nodes and branch currents through index maps built once per
+  # topology; the AMD dense-node rule prunes adjacency arenas in place.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_source_fold
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_amd_dense
   # Non-finite coordinates must never reach the table lookup's
   # float-to-index conversion; NaN Newton updates must fail the iteration.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \

@@ -37,6 +37,16 @@ constexpr double kStaticPivotFloor = 1e-3;
 /// "No node" sentinel for the ordering algorithms' intrusive lists.
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+/// Dense-node rule of the AMD ordering (SuiteSparse AMD's): a node whose
+/// degree in the symmetrized pattern exceeds
+/// max(kDenseDegreeMin, kDenseDegreeFactor * sqrt(n)) leaves the graph
+/// before ordering and is ordered last. An array's shared vdd rail is such
+/// a node (degree 2 x cells + 1): left in, it joins nearly every new
+/// element and its list is rescanned each time, which makes the ordering
+/// quadratic in the array size.
+constexpr std::size_t kDenseDegreeMin = 16;
+constexpr double kDenseDegreeFactor = 10.0;
+
 } // namespace
 
 // ------------------------------------------- approximate minimum degree
@@ -87,6 +97,33 @@ std::vector<std::size_t> amd_order(const SparseMatrix& a) {
         const auto last = first + static_cast<std::ptrdiff_t>(alen[v]);
         std::sort(first, last);
         alen[v] = static_cast<std::size_t>(std::unique(first, last) - first);
+    }
+
+    // Dense nodes leave the graph: dropped from every adjacency list, never
+    // picked, appended to the order in index order at the end.
+    const auto dense_degree = std::max(
+        kDenseDegreeMin,
+        static_cast<std::size_t>(kDenseDegreeFactor *
+                                 std::sqrt(static_cast<double>(n))));
+    std::vector<unsigned char> var_alive(n, 1);
+    std::vector<std::size_t> dense_nodes;
+    for (std::size_t v = 0; v < n; ++v)
+        if (alen[v] > dense_degree) {
+            var_alive[v] = 0;
+            dense_nodes.push_back(v);
+        }
+    if (!dense_nodes.empty()) {
+        for (std::size_t v = 0; v < n; ++v) {
+            if (var_alive[v] == 0)
+                continue;
+            std::size_t out = 0;
+            for (std::size_t k = 0; k < alen[v]; ++k) {
+                const std::size_t u = apool[astart[v] + k];
+                if (var_alive[u] != 0)
+                    apool[astart[v] + out++] = u;
+            }
+            alen[v] = out;
+        }
     }
 
     // E_i (adjacent elements): grow-by-one arena with doubling relocation
@@ -140,9 +177,9 @@ std::vector<std::size_t> amd_order(const SparseMatrix& a) {
             prv[nxt[v]] = prv[v];
     };
     for (std::size_t v = 0; v < n; ++v)
-        bucket_insert(v, alen[v]);
+        if (var_alive[v] != 0)
+            bucket_insert(v, alen[v]);
 
-    std::vector<unsigned char> var_alive(n, 1);
     std::vector<unsigned char> elem_alive(n, 0);
     std::vector<unsigned char> in_lp(n, 0);
     // w[e] = |le[e] \ Lp| per elimination (the Amestoy/Davis/Duff
@@ -153,7 +190,7 @@ std::vector<std::size_t> amd_order(const SparseMatrix& a) {
     std::vector<std::size_t> lp; // members of the new element
 
     std::size_t mindeg = 0;
-    for (std::size_t step = 0; step < n; ++step) {
+    for (std::size_t step = dense_nodes.size(); step < n; ++step) {
         while (head[mindeg] == kNone)
             ++mindeg;
         const std::size_t p = head[mindeg];
@@ -254,6 +291,7 @@ std::vector<std::size_t> amd_order(const SparseMatrix& a) {
         for (const std::size_t i : lp)
             in_lp[i] = 0;
     }
+    order.insert(order.end(), dense_nodes.begin(), dense_nodes.end());
     return order;
 }
 

@@ -176,9 +176,12 @@ private:
 /// Approximate minimum degree ordering on the symmetrized pattern of `a`:
 /// quotient-graph elimination with element absorption and bucketed degree
 /// lists (Amestoy/Davis/Duff style, without supervariable compression).
-/// Near-linear on the grid-like MNA patterns SRAM arrays produce, where a
-/// greedy minimum-degree scan is quadratic. Deterministic: every decision
-/// is index-based, so the order is identical across platforms.
+/// Nodes of degree above max(16, 10 sqrt(n)) (an array's shared vdd rail)
+/// are left out of the elimination and ordered last, as SuiteSparse AMD
+/// does with dense rows. Near-linear on the grid-like MNA patterns SRAM
+/// arrays produce, where a greedy minimum-degree scan is quadratic.
+/// Deterministic: every decision is index-based, so the order is identical
+/// across platforms.
 std::vector<std::size_t> amd_order(const SparseMatrix& a);
 
 } // namespace tfetsram::la

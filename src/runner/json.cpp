@@ -5,23 +5,69 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/contracts.hpp"
+
 namespace tfetsram::runner {
 
+bool Json::as_bool() const {
+    const bool* b = std::get_if<bool>(&v_);
+    return b != nullptr && *b;
+}
+
+double Json::as_number() const {
+    const double* d = std::get_if<double>(&v_);
+    return d != nullptr ? *d : 0.0;
+}
+
+const std::string& Json::as_string() const {
+    static const std::string empty;
+    const std::string* s = std::get_if<std::string>(&v_);
+    return s != nullptr ? *s : empty;
+}
+
+std::size_t Json::size() const {
+    if (const Array* a = std::get_if<Array>(&v_))
+        return a->size();
+    if (const Object* o = std::get_if<Object>(&v_))
+        return o->size();
+    return 0;
+}
+
+const Json& Json::at(std::size_t i) const {
+    const Array* a = std::get_if<Array>(&v_);
+    TFET_EXPECTS(a != nullptr && i < a->size());
+    return (*a)[i];
+}
+
+void Json::push_back(Json v) {
+    Array* a = std::get_if<Array>(&v_);
+    TFET_EXPECTS(a != nullptr);
+    a->push_back(std::move(v));
+}
+
 void Json::set(std::string key, Json value) {
-    for (auto& [k, v] : members_) {
+    Object* o = std::get_if<Object>(&v_);
+    TFET_EXPECTS(o != nullptr);
+    for (auto& [k, v] : *o) {
         if (k == key) {
             v = std::move(value);
             return;
         }
     }
-    members_.emplace_back(std::move(key), std::move(value));
+    o->emplace_back(std::move(key), std::move(value));
 }
 
 const Json* Json::find(std::string_view key) const {
-    for (const auto& [k, v] : members_)
+    for (const auto& [k, v] : members())
         if (k == key)
             return &v;
     return nullptr;
+}
+
+const Json::Object& Json::members() const {
+    static const Object empty;
+    const Object* o = std::get_if<Object>(&v_);
+    return o != nullptr ? *o : empty;
 }
 
 std::string json_escape(std::string_view s) {

@@ -4,13 +4,95 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <vector>
 
-#include "la/lu.hpp"
+#include "spice/circuit.hpp"
 #include "spice/mna.hpp"
 #include "spice/stats.hpp"
 #include "util/fault.hpp"
 
 namespace tfetsram::spice {
+
+// ------------------------------------------------------------ SourceFold
+
+void SourceFold::classify(const Circuit& circuit) {
+    const std::size_t node_unknowns = circuit.num_nodes() - 1;
+    n_ = circuit.num_unknowns();
+    std::vector<unsigned char> is_known(n_, 0);
+    known_.clear();
+    const std::vector<VoltageSource*>& sources = circuit.voltage_sources();
+    for (std::size_t b = 0; b < sources.size(); ++b) {
+        const VoltageSource& v = *sources[b];
+        const bool pos_grounded = v.pos() == kGround;
+        if (pos_grounded == (v.neg() == kGround))
+            continue; // floating: pos != neg, so never both grounded
+        const NodeId node = pos_grounded ? v.neg() : v.pos();
+        TFET_EXPECTS(node <= node_unknowns);
+        const std::size_t j = node - 1;
+        if (is_known[j] != 0)
+            continue; // a second source on a known node stays a branch
+        // Circuit::prepare numbers branch unknowns in source order.
+        const std::size_t ib = node_unknowns + b;
+        is_known[j] = 1;
+        is_known[ib] = 1;
+        known_.push_back({j, ib, pos_grounded ? -1.0 : 1.0});
+    }
+    free_.clear();
+    for (std::size_t i = 0; i < n_; ++i)
+        if (is_known[i] == 0)
+            free_.push_back(i);
+    const std::size_t m = free_.size();
+    jff_ = la::Matrix(m, m);
+    rhs_f_.assign(m, 0.0);
+    x_f_.assign(m, 0.0);
+}
+
+bool SourceFold::solve(const la::Matrix& jac, const la::Vector& rhs,
+                       la::Vector& x) {
+    const std::size_t n = n_;
+    const std::size_t m = free_.size();
+    // classify() built free_ and known_ from indices below n, so this
+    // entry check bounds every access the loops form.
+    TFET_EXPECTS(jac.rows() == n && jac.cols() == n && rhs.size() == n);
+    TFET_EXPECTS(&x != &rhs);
+    x.resize(n);
+    const double* const a = jac.data();
+
+    // A folded source's branch row reads +-x_node = rhs[branch].
+    for (const Known& k : known_)
+        x[k.node] = k.sign * rhs[k.branch];
+
+    // Gather J_ff and rhs_f - J_fk * E. A folded branch column has its only
+    // entry in its own node's row, so only known node columns move.
+    double* const ff = jff_.data();
+    for (std::size_t r = 0; r < m; ++r) {
+        const double* const row = a + free_[r] * n;
+        double acc = rhs[free_[r]];
+        for (const Known& k : known_)
+            acc -= row[k.node] * x[k.node];
+        rhs_f_[r] = acc;
+        for (std::size_t c = 0; c < m; ++c)
+            ff[r * m + c] = row[free_[c]];
+    }
+    if (!lu_.factor_in_place(jff_))
+        return false;
+    lu_.solve_into(rhs_f_, x_f_);
+    for (std::size_t r = 0; r < m; ++r)
+        x[free_[r]] = x_f_[r];
+
+    // Each branch current from its node's KCL row, where the branch column
+    // holds +-1 and no other folded branch column has an entry.
+    for (const Known& k : known_) {
+        const double* const row = a + k.node * n;
+        double acc = rhs[k.node];
+        for (std::size_t c = 0; c < m; ++c)
+            acc -= row[free_[c]] * x_f_[c];
+        for (const Known& o : known_)
+            acc -= row[o.node] * x[o.node];
+        x[k.branch] = k.sign * acc;
+    }
+    return true;
+}
 
 namespace detail {
 
@@ -64,6 +146,12 @@ double assemble_residual_norm(Circuit& circuit, const AnalysisState& as,
 /// iterate needs none. A converged k-iteration solve therefore costs
 /// k + backtracks assemblies and k LU factorizations — the contract
 /// tests/test_solver_perf.cpp pins.
+///
+/// On the dense path each factorization is of the free block only
+/// (SourceFold): the grounded sources' nodes and branch currents are
+/// recovered around it, so the update x_new, and with it damping, the
+/// line search, the residual norm and the convergence test, still covers
+/// every unknown and equals the full-system solve up to rounding.
 int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
                         const SimContext& ctx, double gmin, la::Vector& x,
                         double* final_residual) {
@@ -78,10 +166,11 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
     SolveWorkspace& w = circuit.workspace();
 
     // Pin the linear backend on the circuit's first solve; symbolic work
-    // (the slot-binding pattern build + fill-reducing analysis) happens
-    // exactly once per circuit topology, never per Newton iterate. A
-    // circuit that gained nodes or devices since the last solve re-runs
-    // both (dense assembly rebinds on its own).
+    // (the slot-binding pattern build + fill-reducing analysis, or the
+    // dense path's grounded-source classification) happens exactly once
+    // per circuit topology, never per Newton iterate. A circuit that
+    // gained nodes or devices since the last solve re-runs it (dense
+    // assembly rebinds on its own).
     if (w.topology_revision != circuit.topology_revision()) {
         w.kind = ctx.select_kind(n);
         w.topology_revision = circuit.topology_revision();
@@ -91,6 +180,8 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
             ++stats.sparse_symbolic_analyses;
             stats.sparse_ordering_us += w.slu.ordering_us();
             stats.sparse_pattern_nnz = w.sjac.nnz();
+        } else {
+            w.fold.classify(circuit);
         }
     }
 
@@ -117,7 +208,9 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
         // The workspace Jacobian holds the linearization at the current x.
         // lu_factorizations counts both kernels (the contract tests pin it
         // to nr_iterations); sparse_refactorizations additionally meters
-        // the sparse numeric path.
+        // the sparse numeric path. The dense path factors only the free
+        // block (SourceFold) and returns the full update, so everything
+        // below runs over all n unknowns as before.
         ++stats.lu_factorizations;
         bool factored;
         if (w.kind == SolverKind::kSparse) {
@@ -127,20 +220,18 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
             if (ri.static_hit)
                 ++stats.sparse_static_pivot_hits;
             stats.sparse_pivot_fallbacks += ri.fallbacks;
-            if (factored)
+            if (factored) {
                 stats.sparse_lu_nnz = w.slu.lu_nnz();
+                w.slu.solve_into(w.rhs, w.x_new);
+            }
         } else {
-            factored = w.lu.factor_in_place(w.jac);
+            factored = w.fold.solve(w.jac, w.rhs, w.x_new);
         }
         if (!factored) {
             if (final_residual != nullptr)
                 *final_residual = resid;
             return -iter;
         }
-        if (w.kind == SolverKind::kSparse)
-            w.slu.solve_into(w.rhs, w.x_new);
-        else
-            w.lu.solve_into(w.rhs, w.x_new);
         const la::Vector& x_new = w.x_new;
 
         // A non-finite update is a failed iteration, as a failed

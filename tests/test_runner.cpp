@@ -113,6 +113,36 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_TRUE(Json::parse(" [1, 2, 3] ").has_value());
 }
 
+TEST(Json, ValueHoldsOneAlternative) {
+    // A benchmark record keeps every round's outputs as Json; one value
+    // must not carry storage for every type at once.
+    EXPECT_LE(sizeof(Json), sizeof(std::string) + sizeof(void*));
+
+    const Json num(2.5);
+    EXPECT_EQ(num.as_string(), "");
+    EXPECT_FALSE(num.as_bool());
+    EXPECT_EQ(num.size(), 0u);
+    EXPECT_EQ(num.find("x"), nullptr);
+    EXPECT_TRUE(num.members().empty());
+    EXPECT_EQ(Json("text").as_number(), 0.0);
+
+    Json null;
+    EXPECT_THROW(null.push_back(Json(1)), contract_violation);
+    EXPECT_THROW(null.set("k", Json(1)), contract_violation);
+    EXPECT_THROW((void)Json::object().at(0), contract_violation);
+    Json arr = Json::array();
+    arr.push_back(Json(1));
+    EXPECT_THROW((void)arr.at(1), contract_violation);
+    EXPECT_EQ(arr.at(0).as_number(), 1.0);
+
+    // Overwriting a member keeps its position.
+    Json obj = Json::object();
+    obj.set("a", 1);
+    obj.set("b", 2);
+    obj.set("a", "again");
+    EXPECT_EQ(obj.dump(), "{\"a\":\"again\",\"b\":2}");
+}
+
 // ----------------------------------------------------------------- cache
 
 TEST(CacheKey, CanonicalTextAndStableHash) {
