@@ -186,7 +186,7 @@ int run_fig10_mc_read_assist(const runner::RunnerConfig& config) {
             mc::VariationSpec vspec;
             const mc::TfetVariationSampler sampler(vspec);
             const mc::McResult res = mc::run_monte_carlo(
-                mc_cfg, sampler, samples, kSeed,
+                spice::ambient_context(), mc_cfg, sampler, samples, kSeed,
                 [&](sram::SramCell& cell) {
                     const auto d =
                         sram::dynamic_read_noise_margin(cell, a, opts);
@@ -238,7 +238,7 @@ int run_fig10_mc_read_assist(const runner::RunnerConfig& config) {
         mc::VariationSpec vspec;
         const mc::TfetVariationSampler sampler(vspec);
         const mc::McResult wl = mc::run_monte_carlo(
-            mc_cfg, sampler, samples, kSeed,
+            spice::ambient_context(), mc_cfg, sampler, samples, kSeed,
             [&](sram::SramCell& cell) {
                 const double p = sram::critical_wordline_pulse(
                     cell, sram::Assist::kNone, opts);
@@ -331,10 +331,8 @@ int run_fig10_mc_read_assist(const runner::RunnerConfig& config) {
         yopts.max_samples = yield_budget;
         yopts.min_failures = 4;
         yopts.target_rel_halfwidth = 0.5;
-        mc::BatchStats bstats;
         const mc::YieldEstimate est = mc::estimate_cell_yield(
-            spice::ambient_context(), problem, yopts, kSeed,
-            /*threads=*/1, mc::McPolicy{}, &bstats);
+            spice::ambient_context(), problem, yopts, kSeed, /*threads=*/1);
 
         runner::TaskResult result;
         result.set("limit", core::format_pulse(limit));
@@ -354,8 +352,6 @@ int run_fig10_mc_read_assist(const runner::RunnerConfig& config) {
         result.set("bench:yield_sigma_level", format_sci(est.sigma_level, 6));
         result.set("bench:yield_n_samples", std::to_string(est.n_samples));
         result.set("bench:yield_ess", format_sci(est.ess, 6));
-        result.set("bench:yield_model_retargets",
-                   std::to_string(bstats.model_retargets));
         return result;
     };
     const runner::TaskId yield_task = r.add(std::move(yield_spec));

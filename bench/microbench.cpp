@@ -1,8 +1,7 @@
-// Microbenchmark harness for the solver hot paths. Eleven small, fixed
+// Microbenchmark harness for the solver hot paths. Ten small, fixed
 // workloads — cold DC operating point, warm-started DC re-solve, a full
 // write transient, a WLcrit bisection, an SNM butterfly trace, a
-// 64-sample Monte-Carlo batch (serial and lockstep variants), an
-// 8x8-array DC initialization run
+// 64-sample Monte-Carlo batch, an 8x8-array DC initialization run
 // once per linear kernel (dense vs sparse, pinned per task through
 // TaskSpec::sim), a sparse-only 64x64-array DC initialization that
 // stresses the ordering/static-pivot/batched-eval fast paths at scale,
@@ -212,7 +211,7 @@ int run_microbench(const runner::RunnerConfig& config) {
         const mc::TfetVariationSampler sampler(vspec);
         const Meter m = metered(1, [&](std::size_t) {
             const mc::McResult res = mc::run_monte_carlo(
-                cell_cfg, sampler, 64, 0xB3Cu,
+                spice::ambient_context(), cell_cfg, sampler, 64, 0xB3Cu,
                 [&](sram::SramCell& cell) {
                     return sram::worst_hold_static_power(cell, opts);
                 },
@@ -286,32 +285,9 @@ int run_microbench(const runner::RunnerConfig& config) {
         tasks.push_back(r.add(std::move(spec)));
     }
 
-    // 10. The same 64-sample Monte-Carlo through the lockstep engine: one
-    // persistent cell per lane, per-sample model retargeting instead of
-    // rebuilds. Differential identity with workload 6 is a test
-    // (test_mc_batch); this task tracks what the reuse buys in wall time.
-    names.push_back("mc_batch64_lockstep");
-    tasks.push_back(
-        r.add(bench_task("mc_batch64_lockstep", models, [cell_cfg, opts] {
-            const mc::VariationSpec vspec;
-            const mc::TfetVariationSampler sampler(vspec);
-            mc::BatchStats bstats;
-            const Meter m = metered(1, [&](std::size_t) {
-                const mc::McResult res = mc::run_monte_carlo_batched(
-                    spice::ambient_context(), cell_cfg, sampler, 64, 0xB3Cu,
-                    [&](sram::SramCell& cell) {
-                        return sram::worst_hold_static_power(cell, opts);
-                    },
-                    /*threads=*/1, mc::McPolicy{}, &bstats);
-                TFET_ASSERT(res.n_censored == 0);
-            });
-            TFET_ASSERT(bstats.model_retargets > 0);
-            return to_result("mc_batch64_lockstep", m);
-        })));
-
-    // 11. Rare-event yield estimation end to end: adaptive
+    // 10. Rare-event yield estimation end to end: adaptive
     // importance-sampled tail probability of worst-case hold power through
-    // the lockstep engine, on coarse 121-point tables so the workload
+    // mc::run_monte_carlo, on coarse 121-point tables so the workload
     // meters estimator overhead rather than table extraction. The failure
     // surface is self-calibrated (metric beyond its own 4-sigma log-linear
     // projection), so the workload stays meaningful if the hold-power

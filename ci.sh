@@ -18,7 +18,7 @@
 # then a
 # ThreadSanitizer build running the concurrent subsystem's tests
 # (the task-graph scheduler, thread pool, result cache, the Monte-Carlo
-# engines and yield estimator that fan draws out through the shared pool,
+# engine and yield estimator that fan draws out through the shared pool,
 # and the fault-injection suite, whose retry/censor/quarantine paths race
 # by construction).
 #
@@ -142,9 +142,9 @@ gate_wall() {
 gate_wall array64x64
 
 echo "=== microbench: mc_yield wall regression gate ==="
-# The rare-event yield workload runs the whole adaptive loop through the
-# lockstep engine (docs/YIELD.md); its wall gate catches a regression in
-# either the estimator's sample economy or the lane-reuse fast path.
+# The rare-event yield workload runs the whole adaptive loop through
+# mc::run_monte_carlo (docs/YIELD.md); its wall gate catches a regression
+# in the estimator's sample economy or the engine's per-sample cost.
 gate_wall mc_yield
 
 echo "=== cell zoo: every registered spec through signoff + bench ==="
@@ -259,16 +259,16 @@ fi
 echo "=== build (ThreadSanitizer) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTFETSRAM_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_mc_batch test_yield test_faults test_deadline test_sparse_diff test_context test_hier test_la
+cmake --build build-tsan -j "$JOBS" --target test_runner test_mc test_mc_engine test_yield test_faults test_deadline test_sparse_diff test_context test_hier test_la
 
 echo "=== tsan: scheduler/cache/pool/fault/context tests ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runner
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc
-# The lockstep engine's per-lane cells and index-ordered stats fold are
-# exactly the shared-state-across-a-pool shape TSan exists for; the
-# multi-lane differential test races it on purpose.
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc_batch
-# Yield rounds extract every draw's device tables on the lane threads
+# The Monte-Carlo engine's per-sample slots and index-ordered stats fold
+# are exactly the shared-state-across-a-pool shape TSan exists for; the
+# 4-thread oracle test races it on purpose.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mc_engine
+# Yield rounds extract every draw's device tables on the pool threads
 # that evaluate it (docs/YIELD.md), so the estimator runs under TSan too.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_yield
 # Concurrent tasks pinning conflicting solver backends through their own

@@ -198,6 +198,7 @@ RobustDesignReport explore(const ExplorerOptions& opt) {
         check.samples = opt.mc_samples;
         const auto metric_opts = opt.metrics;
         const mc::McResult drnm_mc = mc::run_monte_carlo(
+            spice::ambient_context(),
             rec.config, sampler, opt.mc_samples, opt.mc_seed,
             [&](sram::SramCell& cell) {
                 const sram::DrnmResult d = sram::dynamic_read_noise_margin(
@@ -205,6 +206,7 @@ RobustDesignReport explore(const ExplorerOptions& opt) {
                 return d.valid ? d.drnm : std::nan("");
             });
         const mc::McResult wl_mc = mc::run_monte_carlo(
+            spice::ambient_context(),
             rec.config, sampler, opt.mc_samples, opt.mc_seed + 1,
             [&](sram::SramCell& cell) {
                 return sram::critical_wordline_pulse(cell, rec.write_assist,

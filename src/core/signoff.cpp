@@ -150,6 +150,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
 
         if (design.wlcrit_defined) {
             const mc::McResult wl = mc::run_monte_carlo(
+                spice::ambient_context(),
                 cfg, sampler, cond.mc_samples, cond.mc_seed,
                 [&](sram::SramCell& cell) {
                     return sram::critical_wordline_pulse(
@@ -163,6 +164,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
                       std::to_string(wl.summary.n_infinite) + " failures)");
         }
         const mc::McResult dr = mc::run_monte_carlo(
+            spice::ambient_context(),
             cfg, sampler, cond.mc_samples, cond.mc_seed + 1,
             [&](sram::SramCell& cell) {
                 const auto d = sram::dynamic_read_noise_margin(

@@ -311,6 +311,12 @@ void SparseLu::analyze(const SparseMatrix& a, std::vector<std::size_t> order) {
     TFET_EXPECTS(a.finalized());
     TFET_EXPECTS(a.rows() == a.cols());
     TFET_EXPECTS(order.size() == a.rows());
+    // A permutation: every entry below n, none twice.
+    std::vector<char> seen(order.size(), 0);
+    for (const std::size_t j : order) {
+        TFET_EXPECTS(j < order.size() && seen[j] == 0);
+        seen[j] = 1;
+    }
     n_ = a.rows();
     analyzed_ = false;
     factored_ = false;

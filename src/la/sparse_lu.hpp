@@ -56,8 +56,9 @@ public:
     void analyze(const SparseMatrix& a);
 
     /// Symbolic analysis under an explicit column elimination order (a
-    /// permutation of 0..n-1). Exposed so tests and experiments can
-    /// compare orderings through the real factorization kernel.
+    /// permutation of 0..n-1; anything else is a contract violation).
+    /// Exposed so tests and experiments can compare orderings through the
+    /// real factorization kernel.
     void analyze(const SparseMatrix& a, std::vector<std::size_t> order);
 
     [[nodiscard]] bool analyzed() const { return analyzed_; }

@@ -17,11 +17,9 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
                          const sram::CellConfig& base_config,
                          const TfetVariationSampler& sampler, std::size_t n,
                          std::uint64_t seed, const CellMetric& metric,
-                         std::size_t threads, const McPolicy& policy) {
+                         std::size_t threads, const McPolicy& policy,
+                         BatchStats* stats) {
     TFET_EXPECTS(n >= 1);
-    TFET_EXPECTS(metric != nullptr);
-    TFET_EXPECTS(policy.max_attempts >= 1);
-
     // Draw every thickness up front from one stream — the only RNG use —
     // so the results are independent of how the evaluations are
     // scheduled. The model sets themselves (the per-draw table
@@ -30,8 +28,24 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
     Rng rng(seed);
     for (double& t : tox)
         t = sampler.sample_tox(rng);
-
     const la::Vector nominal_seed = nominal_hold_seed(ctx, base_config);
+    return run_monte_carlo(ctx, base_config, sampler, tox, nominal_seed,
+                           /*stream_offset=*/0, metric, threads, policy,
+                           stats);
+}
+
+McResult run_monte_carlo(const spice::SimContext& ctx,
+                         const sram::CellConfig& base_config,
+                         const TfetVariationSampler& sampler,
+                         std::span<const double> tox,
+                         const la::Vector& nominal_seed,
+                         std::uint64_t stream_offset,
+                         const CellMetric& metric, std::size_t threads,
+                         const McPolicy& policy, BatchStats* stats) {
+    const std::size_t n = tox.size();
+    TFET_EXPECTS(n >= 1);
+    TFET_EXPECTS(metric != nullptr);
+    TFET_EXPECTS(policy.max_attempts >= 1);
 
     McResult result;
     result.samples.assign(n, 0.0);
@@ -39,21 +53,21 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
     result.censored.assign(n, 0);
     std::atomic<std::size_t> n_censored{0};
     std::atomic<std::size_t> n_retried{0};
+    std::atomic<std::size_t> cell_builds{0};
+    std::atomic<std::size_t> draws{0};
 
     // One child context per sample: an isolated stats sink plus a seed
-    // stream derived deterministically from (ctx seed, sample index). The
-    // fault plan is shared, so injection budgets span the whole batch.
+    // stream derived deterministically from (ctx seed, global sample
+    // index). The fault plan is shared, so injection budgets span the
+    // whole batch.
     std::vector<std::unique_ptr<spice::SimContext>> children;
     children.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        children.push_back(
-            std::make_unique<spice::SimContext>(ctx.child(i)));
+        children.push_back(std::make_unique<spice::SimContext>(
+            ctx.child(stream_offset + i)));
 
     // Fan the draws and evaluations out through the shared concurrency
-    // substrate. Each index writes only its own slots and depends only on
-    // its own thickness, so the result is identical for every thread
-    // count; each sample's model set lives only while the sample runs, so
-    // memory is bounded by the draws in flight, not by n.
+    // substrate.
     threads = std::min(runner::ThreadPool::resolve(threads), n);
     runner::ThreadPool pool(threads);
     pool.parallel_for(n, [&](std::size_t i) {
@@ -70,8 +84,10 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
         const bool expired =
             cctx.poll_cancellation() != spice::SolveErrorCode::kNone;
         device::ModelSet models;
-        if (!expired)
+        if (!expired) {
             models = sampler.draw_at_tox(tox[i]).models;
+            draws.fetch_add(1, std::memory_order_relaxed);
+        }
         for (; !expired && attempt <= policy.max_attempts; ++attempt) {
             // Rebuild from scratch every attempt: fresh device companion
             // state is itself a re-seeded restart, and the reseed hook can
@@ -81,6 +97,7 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
             if (attempt > 1 && policy.reseed)
                 policy.reseed(cfg, attempt, i);
             sram::SramCell cell = sram::build_cell(cfg, &cctx);
+            cell_builds.fetch_add(1, std::memory_order_relaxed);
             cell.dc_seed = nominal_seed; // ignored when sizes mismatch
             try {
                 value = metric(cell);
@@ -113,18 +130,15 @@ McResult run_monte_carlo(const spice::SimContext& ctx,
         ctx.stats() += child->stats();
     result.n_censored = n_censored.load();
     result.n_retried = n_retried.load();
+    if (stats != nullptr) {
+        stats->lanes += threads;
+        stats->cell_builds += cell_builds.load();
+        stats->draws += draws.load();
+    }
     // NaN censored slots fall out of the summary on their own (they are
     // neither finite nor infinite).
     result.summary = summarize(result.samples);
     return result;
-}
-
-McResult run_monte_carlo(const sram::CellConfig& base_config,
-                         const TfetVariationSampler& sampler, std::size_t n,
-                         std::uint64_t seed, const CellMetric& metric,
-                         std::size_t threads, const McPolicy& policy) {
-    return run_monte_carlo(spice::ambient_context(), base_config, sampler,
-                           n, seed, metric, threads, policy);
 }
 
 la::Vector nominal_hold_seed(const spice::SimContext& ctx,

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "mc/variation.hpp"
 #include "spice/context.hpp"
@@ -54,43 +55,63 @@ struct McResult {
     }
 };
 
+/// Engine bookkeeping for tests and bench counters. Accumulating: one
+/// instance can total several run_monte_carlo calls (the yield
+/// estimator's rounds).
+struct BatchStats {
+    std::size_t lanes = 0;       ///< worker threads spun up
+    std::size_t cell_builds = 0; ///< cells built (one per attempt)
+    /// Always 0: the engine never swaps models under a live cell. Kept
+    /// only because perfbench reports it as `mc.model_retargets`.
+    std::size_t model_retargets = 0;
+    std::size_t draws = 0; ///< model sets extracted (expired samples skip)
+};
+
 /// Run `n` samples under `ctx`. Each sample draws perturbed TFET models,
 /// rebuilds the cell from `base_config` with them, and evaluates `metric`.
-///
-/// `threads` = 0 uses the hardware concurrency; 1 runs serially. Results
-/// are deterministic in the seed regardless of the thread count (every
-/// sample's tox is drawn up front from one RNG stream; the worker that
-/// evaluates a sample extracts its model set after the sample's
-/// cancellation checkpoint and drops it when the sample is done; metric
-/// evaluations are independent because every worker gets its own cell).
-/// The metric must therefore be safe to call concurrently on distinct
-/// cells (all device models are immutable).
-///
-/// Every worker evaluates its sample under a child context of `ctx`
-/// (derived seed stream = sample index), and when all samples finish the
-/// children's solver counters are aggregated back into `ctx` in index
-/// order — so ctx.stats() reflects the full fan-out, no matter which
-/// pool threads did the work.
+/// Every thickness is drawn up front from `seed`'s one RNG stream, and
+/// each sample's first DC solve warm-starts from the nominal hold state
+/// (nominal_hold_seed); then the samples run as the overload below with
+/// stream offset 0.
 McResult run_monte_carlo(const spice::SimContext& ctx,
                          const sram::CellConfig& base_config,
                          const TfetVariationSampler& sampler, std::size_t n,
                          std::uint64_t seed, const CellMetric& metric,
                          std::size_t threads = 0,
-                         const McPolicy& policy = {});
+                         const McPolicy& policy = {},
+                         BatchStats* stats = nullptr);
 
-/// Compatibility entry: run under the caller's ambient context.
-McResult run_monte_carlo(const sram::CellConfig& base_config,
-                         const TfetVariationSampler& sampler, std::size_t n,
-                         std::uint64_t seed, const CellMetric& metric,
-                         std::size_t threads = 0,
-                         const McPolicy& policy = {});
+/// The Monte-Carlo engine: evaluate `metric` at every thickness in `tox`.
+/// Sample i builds its model set with sampler.draw_at_tox(tox[i]) once it
+/// passes its cancellation checkpoint, builds a fresh cell for every
+/// attempt, plants `nominal_seed` as the cell's DC warm start (empty for
+/// cold starts), and runs under ctx.child(stream_offset + i).
+///
+/// `threads` = 0 uses the hardware concurrency; 1 runs serially. Samples
+/// are scheduled dynamically, and results are deterministic for every
+/// thread count: each index writes only its own slots and depends only on
+/// its own thickness and child context, and each sample's model set lives
+/// only while the sample runs, so memory is bounded by the draws in
+/// flight, not by n. The metric must therefore be safe to call
+/// concurrently on distinct cells (all device models are immutable).
+/// When all samples finish, the children's solver counters fold back
+/// into `ctx` in index order, so ctx.stats() reflects the full fan-out no
+/// matter which pool threads did the work.
+McResult run_monte_carlo(const spice::SimContext& ctx,
+                         const sram::CellConfig& base_config,
+                         const TfetVariationSampler& sampler,
+                         std::span<const double> tox,
+                         const la::Vector& nominal_seed,
+                         std::uint64_t stream_offset,
+                         const CellMetric& metric, std::size_t threads = 0,
+                         const McPolicy& policy = {},
+                         BatchStats* stats = nullptr);
 
 /// Solve the nominal cell's hold operating point once so every sample's
 /// first DC solve can warm-start from it (the draws only perturb tox, so
 /// each operating point is a small Newton correction away). A failed
 /// nominal solve returns an empty vector — samples fall back to cold
-/// starts. Shared by the serial and lockstep engines and the yield
-/// estimator so all three spend identical solver work here.
+/// starts.
 la::Vector nominal_hold_seed(const spice::SimContext& ctx,
                              const sram::CellConfig& base_config);
 

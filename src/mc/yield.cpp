@@ -258,20 +258,17 @@ YieldEstimate estimate_cell_yield(const spice::SimContext& ctx,
     return estimate_yield(
         options, seed,
         [&](std::span<const double> us, std::size_t first) {
-            // sample_at's tox mapping; the lanes extract the draws.
+            // sample_at's tox mapping; the engine's workers extract the
+            // draws.
             std::vector<double> tox;
             tox.reserve(us.size());
             for (double u : us)
                 tox.push_back(sampler.tox_at(u));
-            BatchOptions batch_options;
-            batch_options.threads = threads;
-            batch_options.policy = policy;
             // Global sample index = child seed stream, unique per round.
-            batch_options.stream_offset = first;
             const McResult block =
-                run_sample_block(ctx, problem.config, sampler, tox,
-                                 problem.metric, nominal_seed, batch_options,
-                                 stats);
+                run_monte_carlo(ctx, problem.config, sampler, tox,
+                                nominal_seed, /*stream_offset=*/first,
+                                problem.metric, threads, policy, stats);
             std::vector<SampleVerdict> verdicts;
             verdicts.reserve(us.size());
             for (std::size_t j = 0; j < us.size(); ++j)

@@ -25,7 +25,7 @@
 #include <span>
 #include <vector>
 
-#include "mc/batch.hpp"
+#include "mc/monte_carlo.hpp"
 #include "mc/statistics.hpp"
 #include "util/rng.hpp"
 
@@ -149,7 +149,7 @@ private:
 using YieldProbe = std::function<SampleVerdict(double u, std::size_t index)>;
 
 /// Batched oracle: verdicts for a whole round of draws at once (the cell
-/// driver fans a round out through the lockstep engine).
+/// driver fans a round out through run_monte_carlo).
 using YieldBatchProbe = std::function<std::vector<SampleVerdict>(
     std::span<const double> u, std::size_t first_index)>;
 
@@ -178,11 +178,11 @@ struct CellYieldProblem {
 /// Estimate a cell's failure probability: every adaptive round draws u
 /// from the proposal, maps them to thicknesses with sample_at's mapping
 /// (TfetVariationSampler::tox_at, untruncated tails), and evaluates the
-/// metric through the lockstep engine (run_sample_block, whose lanes
-/// extract each draw's tables) under ctx — sample i of the whole run uses
-/// child stream i, so results are deterministic in (seed, ctx seed) for
-/// every thread count. Censored samples flow into the conservative
-/// bounds. `stats`, when given, accumulates lockstep bookkeeping.
+/// metric through run_monte_carlo (whose workers extract each draw's
+/// tables) under ctx — sample i of the whole run uses child stream i, so
+/// results are deterministic in (seed, ctx seed) for every thread count.
+/// Censored samples flow into the conservative bounds. `stats`, when
+/// given, accumulates the engine's bookkeeping over every round.
 YieldEstimate estimate_cell_yield(const spice::SimContext& ctx,
                                   const CellYieldProblem& problem,
                                   const YieldOptions& options,

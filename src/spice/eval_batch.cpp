@@ -6,39 +6,6 @@
 
 namespace tfetsram::spice {
 
-bool DeviceEvalBatch::layout_stale(const Circuit& circuit) const {
-    if (built_revision_ != circuit.topology_revision())
-        return true;
-    // Monte-Carlo re-simulation swaps models via set_model without touching
-    // the topology revision; the group layout keys on model identity, so a
-    // swap must trigger a rebuild. Pointer compares only — cheap next to
-    // the interpolation work the batch exists to speed up.
-    for (const Group& g : groups_)
-        for (std::size_t s = g.first; s < g.first + g.count; ++s)
-            if (&order_[s]->model() != g.model)
-                return true;
-    return false;
-}
-
-bool DeviceEvalBatch::try_retarget() {
-    // Model swap with unchanged topology — the Monte-Carlo lockstep path,
-    // where every sample re-points the same transistors at fresh per-draw
-    // models. When each group's transistors moved in unison to one new
-    // model the slot layout is still valid: just re-point the groups
-    // instead of re-slotting and re-attaching every transistor. Validate
-    // all groups before committing any so a half-unanimous swap falls
-    // back to a clean rebuild.
-    for (const Group& g : groups_) {
-        const TransistorModel* m = &order_[g.first]->model();
-        for (std::size_t s = g.first + 1; s < g.first + g.count; ++s)
-            if (&order_[s]->model() != m)
-                return false;
-    }
-    for (Group& g : groups_)
-        g.model = &order_[g.first]->model();
-    return true;
-}
-
 void DeviceEvalBatch::rebuild(Circuit& circuit) {
     const auto& transistors = circuit.transistors();
     const std::size_t n = transistors.size();
@@ -85,9 +52,7 @@ void DeviceEvalBatch::rebuild(Circuit& circuit) {
 }
 
 void DeviceEvalBatch::evaluate(Circuit& circuit, const la::Vector& x) {
-    if (layout_stale(circuit) &&
-        (built_revision_ != circuit.topology_revision() || order_.empty() ||
-         !try_retarget()))
+    if (built_revision_ != circuit.topology_revision())
         rebuild(circuit);
     const std::size_t n = order_.size();
     for (std::size_t i = 0; i < n; ++i) {

@@ -24,11 +24,10 @@ class Transistor;
 class DeviceEvalBatch {
 public:
     /// Evaluate every transistor of `circuit` at candidate solution x.
-    /// Rebuilds the slot layout first when the circuit topology changed;
-    /// a pure model swap under an unchanged topology (Monte-Carlo lockstep
-    /// re-simulation) keeps the layout and only re-points the per-model
-    /// groups when the swap was group-unanimous. Then runs
-    /// one iv_many sweep per distinct model in first-seen circuit order.
+    /// Rebuilds the slot layout first when the circuit's topology revision
+    /// changed (a transistor's model is fixed at construction, so the
+    /// revision covers the per-model groups too). Then runs one iv_many
+    /// sweep per distinct model in first-seen circuit order.
     /// After this call every transistor's stamp() reads its sample from
     /// the batch instead of re-dispatching into the model.
     void evaluate(Circuit& circuit, const la::Vector& x);
@@ -49,8 +48,6 @@ private:
     };
 
     void rebuild(Circuit& circuit);
-    bool try_retarget();
-    [[nodiscard]] bool layout_stale(const Circuit& circuit) const;
 
     std::vector<Transistor*> order_; ///< slot -> transistor, group-major
     std::vector<Group> groups_;

@@ -27,12 +27,6 @@ Transistor::Transistor(std::string label, TransistorModelPtr model,
     TFET_EXPECTS(drain != source);
 }
 
-void Transistor::set_model(TransistorModelPtr model) {
-    TFET_EXPECTS(model != nullptr);
-    model_ = std::move(model);
-    cv_memo_ = kNoCvMemo;
-}
-
 CvSample Transistor::cv_at(double vgs, double vds) {
     // A NaN bias never hits, so the NaN key of an empty memo cannot either.
     if (std::bit_cast<std::uint64_t>(vgs) ==

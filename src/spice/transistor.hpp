@@ -33,10 +33,6 @@ public:
     [[nodiscard]] double width_um() const { return width_um_; }
     [[nodiscard]] const TransistorModel& model() const { return *model_; }
 
-    /// Swap the device model (used by Monte-Carlo re-simulation). Clears
-    /// the C-V memo.
-    void set_model(TransistorModelPtr model);
-
     /// Adopt a precomputed I-V slot in the circuit's DeviceEvalBatch.
     /// Called by the batch during layout build; stamp() then consumes the
     /// slot (assemble() evaluates the batch before every stamp sweep). A
@@ -78,8 +74,8 @@ private:
     /// stamp asks for the point accept_step just evaluated. The sample is
     /// a pure function of the model and the key, so a hit is bitwise the
     /// model call; the memo is cleared (a NaN key, which never hits) by
-    /// set_model and begin_transient — the latter so a table edited in
-    /// place between runs is read afresh. 32 bytes per transistor.
+    /// begin_transient, so a table edited in place between runs is read
+    /// afresh. 32 bytes per transistor.
     struct CvMemo {
         double vgs;
         double vds;

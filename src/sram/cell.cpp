@@ -47,10 +47,8 @@ void expect_6t(const CellConfig& config) {
                  config.kind == CellKind::kTfet6T);
 }
 
-std::vector<spice::Transistor*> build_6t_devices(spice::Circuit& ckt,
-                                                 const CellConfig& config,
-                                                 const CellPorts& p,
-                                                 const std::string& prefix) {
+void build_6t_devices(spice::Circuit& ckt, const CellConfig& config,
+                      const CellPorts& p, const std::string& prefix) {
     expect_6t(config);
     const bool tfet = config.kind == CellKind::kTfet6T;
     const auto& n_model = tfet ? config.models.ntfet : config.models.nmos;
@@ -59,15 +57,12 @@ std::vector<spice::Transistor*> build_6t_devices(spice::Circuit& ckt,
     const double w_ax = config.w_access;
     const device::ModelSet& m = config.models;
 
-    std::vector<spice::Transistor*> devices;
-    devices.push_back(&ckt.add_transistor(prefix + "PDL", n_model, p.q, p.qb,
-                                          p.vss, w_pd));
-    devices.push_back(&ckt.add_transistor(prefix + "PUL", p_model, p.q, p.qb,
-                                          p.vdd, config.w_pullup));
-    devices.push_back(&ckt.add_transistor(prefix + "PDR", n_model, p.qb, p.q,
-                                          p.vss, w_pd));
-    devices.push_back(&ckt.add_transistor(prefix + "PUR", p_model, p.qb, p.q,
-                                          p.vdd, config.w_pullup));
+    ckt.add_transistor(prefix + "PDL", n_model, p.q, p.qb, p.vss, w_pd);
+    ckt.add_transistor(prefix + "PUL", p_model, p.q, p.qb, p.vdd,
+                       config.w_pullup);
+    ckt.add_transistor(prefix + "PDR", n_model, p.qb, p.q, p.vss, w_pd);
+    ckt.add_transistor(prefix + "PUR", p_model, p.qb, p.q, p.vdd,
+                       config.w_pullup);
 
     auto access = [&](const std::string& label, spice::NodeId bitline,
                       spice::NodeId store) -> spice::Transistor& {
@@ -85,32 +80,17 @@ std::vector<spice::Transistor*> build_6t_devices(spice::Circuit& ckt,
         }
         throw std::invalid_argument("build_6t_devices: bad access device");
     };
-    devices.push_back(&access(prefix + "AXL", p.bl, p.q));
-    devices.push_back(&access(prefix + "AXR", p.blb, p.qb));
+    access(prefix + "AXL", p.bl, p.q);
+    access(prefix + "AXR", p.blb, p.qb);
 
     ckt.add_capacitor(prefix + "Cq", p.q, spice::kGround, config.c_node);
     ckt.add_capacitor(prefix + "Cqb", p.qb, spice::kGround, config.c_node);
-    return devices;
 }
 
 SramCell build_cell(const CellConfig& config, const spice::SimContext* sim) {
     const CellSpec* spec =
         config.spec != nullptr ? config.spec : &builtin_spec(config.kind);
     return instantiate_spec(*spec, config, sim);
-}
-
-void retarget_models(SramCell& cell, const device::ModelSet& models) {
-    TFET_EXPECTS(models.ntfet != nullptr && models.ptfet != nullptr);
-    for (spice::Transistor* t : cell.variable_devices) {
-        if (&t->model() == cell.config.models.ntfet.get())
-            t->set_model(models.ntfet);
-        else if (&t->model() == cell.config.models.ptfet.get())
-            t->set_model(models.ptfet);
-        else
-            TFET_ASSERT(!"variable device is on neither configured TFET "
-                         "model — cell was retargeted behind our back");
-    }
-    cell.config.models = models;
 }
 
 } // namespace tfetsram::sram

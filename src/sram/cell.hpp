@@ -103,10 +103,6 @@ struct SramCell {
     spice::VoltageSource* v_rwl = nullptr;
     spice::TimedSwitch* sw_rbl = nullptr;
 
-    // TFET transistors subject to process variation (Monte-Carlo swaps
-    // their models); empty for the CMOS cell.
-    std::vector<spice::Transistor*> variable_devices;
-
     /// Optional warm-start seed for the first (cold) DC solve — the MC
     /// driver plants the nominal-sample hold solution here so each
     /// perturbed sample's Newton starts near its operating point. Ignored
@@ -133,14 +129,6 @@ struct SramCell {
 SramCell build_cell(const CellConfig& config,
                     const spice::SimContext* sim = nullptr);
 
-/// Swap the variable (TFET) devices of a built cell onto a new model set
-/// in place — the Monte-Carlo lockstep engine's per-sample step. Every
-/// variable device currently on config.models.ntfet moves to models.ntfet
-/// (likewise ptfet), and config.models is updated to match. Topology, node
-/// numbering, and the circuit's solver workspace are untouched, so the
-/// next solve reuses the cell's symbolic analysis and pivot ordering.
-void retarget_models(SramCell& cell, const device::ModelSet& models);
-
 /// External connection points of one 6T cell being embedded into a larger
 /// circuit (arrays). All nodes must already exist in the circuit.
 struct CellPorts {
@@ -160,11 +148,8 @@ void expect_6t(const CellConfig& config);
 
 /// Instantiate the six transistors and storage-node capacitors of one
 /// kCmos6T / kTfet6T cell into an existing circuit. Device labels get
-/// `prefix` prepended. Returns the cell's transistors (for Monte-Carlo or
-/// current probing). Used by build_cell and by the array builder.
-std::vector<spice::Transistor*> build_6t_devices(spice::Circuit& circuit,
-                                                 const CellConfig& config,
-                                                 const CellPorts& ports,
-                                                 const std::string& prefix);
+/// `prefix` prepended. Used by the array builders.
+void build_6t_devices(spice::Circuit& circuit, const CellConfig& config,
+                      const CellPorts& ports, const std::string& prefix);
 
 } // namespace tfetsram::sram

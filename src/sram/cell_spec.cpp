@@ -501,11 +501,6 @@ SramCell instantiate_spec(const CellSpec& spec, const CellConfig& config,
     for (const std::string& name : spec.nodes)
         ckt.add_node(name);
 
-    auto register_variable = [&](spice::Transistor& t, bool is_tfet) {
-        if (is_tfet)
-            cell.variable_devices.push_back(&t);
-    };
-
     for (const SpecElement& el : spec.elements) {
         switch (el.kind) {
         case SpecElement::Kind::kNode:
@@ -565,11 +560,10 @@ SramCell instantiate_spec(const CellSpec& spec, const CellConfig& config,
             break;
         }
         case SpecElement::Kind::kTransistor: {
-            auto& t = ckt.add_transistor(
+            ckt.add_transistor(
                 el.label, resolve_slot(el.slot, m, spec.tfet_core),
                 ckt.node(el.a), ckt.node(el.b), ckt.node(el.c),
                 el.width.resolve(config));
-            register_variable(t, slot_is_tfet(el.slot, spec.tfet_core));
             break;
         }
         case SpecElement::Kind::kAccess: {
@@ -605,7 +599,6 @@ SramCell instantiate_spec(const CellSpec& spec, const CellConfig& config,
             if (t == nullptr)
                 throw std::invalid_argument(
                     "instantiate_spec: bad access device");
-            register_variable(*t, orientation != AccessDevice::kCmos);
             break;
         }
         case SpecElement::Kind::kCapacitor: {

@@ -135,17 +135,6 @@ TEST(Cell, CmosCoreUsesMosfets) {
     ASSERT_NE(pul, nullptr);
     EXPECT_EQ(std::string(pdl->model().name()), "nMOS");
     EXPECT_EQ(std::string(pul->model().name()), "pMOS");
-    EXPECT_TRUE(cell.variable_devices.empty())
-        << "CMOS devices are not subject to the paper's TFET variation";
-}
-
-TEST(Cell, TfetCellVariableDevices) {
-    const SramCell cell =
-        build_cell(config(CellKind::kTfet6T, AccessDevice::kInwardP));
-    EXPECT_EQ(cell.variable_devices.size(), 6u);
-    const SramCell cell7 =
-        build_cell(config(CellKind::kTfet7T, AccessDevice::kInwardP));
-    EXPECT_EQ(cell7.variable_devices.size(), 7u);
 }
 
 TEST(Cell, SevenTWriteBitlinesIdleLow) {

@@ -25,23 +25,15 @@ namespace legacy {
 // ---- frozen pre-refactor builder (do not modernize) --------------------
 
 void build_core(SramCell& cell, const spice::TransistorModelPtr& n_model,
-                const spice::TransistorModelPtr& p_model, bool tfet_core) {
+                const spice::TransistorModelPtr& p_model) {
     const CellConfig& cfg = cell.config;
     const double w_pd = cfg.beta * cfg.w_access;
     spice::Circuit& ckt = cell.circuit;
 
-    auto& pdl = ckt.add_transistor("PDL", n_model, cell.q, cell.qb, cell.vss, w_pd);
-    auto& pul = ckt.add_transistor("PUL", p_model, cell.q, cell.qb, cell.vdd,
-                                   cfg.w_pullup);
-    auto& pdr = ckt.add_transistor("PDR", n_model, cell.qb, cell.q, cell.vss, w_pd);
-    auto& pur = ckt.add_transistor("PUR", p_model, cell.qb, cell.q, cell.vdd,
-                                   cfg.w_pullup);
-    if (tfet_core) {
-        cell.variable_devices.push_back(&pdl);
-        cell.variable_devices.push_back(&pul);
-        cell.variable_devices.push_back(&pdr);
-        cell.variable_devices.push_back(&pur);
-    }
+    ckt.add_transistor("PDL", n_model, cell.q, cell.qb, cell.vss, w_pd);
+    ckt.add_transistor("PUL", p_model, cell.q, cell.qb, cell.vdd, cfg.w_pullup);
+    ckt.add_transistor("PDR", n_model, cell.qb, cell.q, cell.vss, w_pd);
+    ckt.add_transistor("PUR", p_model, cell.qb, cell.q, cell.vdd, cfg.w_pullup);
 
     ckt.add_capacitor("Cq", cell.q, spice::kGround, cfg.c_node);
     ckt.add_capacitor("Cqb", cell.qb, spice::kGround, cfg.c_node);
@@ -116,21 +108,15 @@ SramCell build_cell(const CellConfig& config, const spice::SimContext* sim) {
             spice::Waveform::dc(ptype ? config.vdd : 0.0));
         const CellPorts ports{cell.q,  cell.qb,  cell.bl, cell.blb,
                               cell.wl, cell.vdd, cell.vss};
-        const auto devices = build_6t_devices(ckt, config, ports, "");
-        if (tfet_core)
-            cell.variable_devices = devices;
+        build_6t_devices(ckt, config, ports, "");
         break;
     }
     case CellKind::kTfet7T: {
-        build_core(cell, n_core, p_core, tfet_core);
+        build_core(cell, n_core, p_core);
         cell.v_wl = &ckt.add_vsource("Vwl", cell.wl, spice::kGround,
                                      spice::Waveform::dc(0.0));
-        auto& axl =
-            build_access(cell, "AXL", AccessDevice::kOutwardN, cell.bl, cell.q);
-        auto& axr = build_access(cell, "AXR", AccessDevice::kOutwardN, cell.blb,
-                                 cell.qb);
-        cell.variable_devices.push_back(&axl);
-        cell.variable_devices.push_back(&axr);
+        build_access(cell, "AXL", AccessDevice::kOutwardN, cell.bl, cell.q);
+        build_access(cell, "AXR", AccessDevice::kOutwardN, cell.blb, cell.qb);
         cell.v_bl->set_waveform(spice::Waveform::dc(0.0));
         cell.v_blb->set_waveform(spice::Waveform::dc(0.0));
 
@@ -145,21 +131,16 @@ SramCell build_cell(const CellConfig& config, const spice::SimContext* sim) {
                                       config.r_precharge, 1e12,
                                       spice::Waveform::dc(1.0));
         ckt.add_capacitor("Crbl", cell.rbl, spice::kGround, config.c_bitline);
-        auto& m7 = ckt.add_transistor("M7", config.models.ntfet, cell.rbl,
-                                      cell.qb, cell.rwl, config.w_access);
-        cell.variable_devices.push_back(&m7);
+        ckt.add_transistor("M7", config.models.ntfet, cell.rbl, cell.qb,
+                           cell.rwl, config.w_access);
         break;
     }
     case CellKind::kTfetAsym6T: {
-        build_core(cell, n_core, p_core, tfet_core);
+        build_core(cell, n_core, p_core);
         cell.v_wl = &ckt.add_vsource("Vwl", cell.wl, spice::kGround,
                                      spice::Waveform::dc(0.0));
-        auto& axl =
-            build_access(cell, "AXL", AccessDevice::kOutwardN, cell.bl, cell.q);
-        auto& axr =
-            build_access(cell, "AXR", AccessDevice::kInwardN, cell.blb, cell.qb);
-        cell.variable_devices.push_back(&axl);
-        cell.variable_devices.push_back(&axr);
+        build_access(cell, "AXL", AccessDevice::kOutwardN, cell.bl, cell.q);
+        build_access(cell, "AXR", AccessDevice::kInwardN, cell.blb, cell.qb);
         break;
     }
     }

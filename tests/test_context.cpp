@@ -274,8 +274,8 @@ TEST(ContextStats, JournalCoversInnerMonteCarloPoolWork) {
     runner::TaskSpec spec;
     spec.id = "mc_batch";
     spec.fn = [&] {
-        mc::run_monte_carlo(cell_cfg, sampler, kSamples, 99, metric,
-                            /*threads=*/4);
+        mc::run_monte_carlo(spice::ambient_context(), cell_cfg, sampler,
+                            kSamples, 99, metric, /*threads=*/4);
         return runner::TaskResult{};
     };
     r.add(std::move(spec));

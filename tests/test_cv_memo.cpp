@@ -1,12 +1,11 @@
 // The accepted-point C-V memo in spice::Transistor: the last (vgs, vds) ->
-// CvSample, keyed on the bitwise bias pair, cleared by set_model and
-// begin_transient. A hit must be bitwise the model call, so every run
-// below equals the same run on a freshly built cell, whose memo holds
-// nothing from earlier work: after a model swap between transients (the
-// Monte-Carlo lockstep retarget path), on a second transient of the same
-// circuit, and on a transient-tape resume. The stamp-level cases place a
-// stale entry exactly at the next stamp's bias, so a missing invalidation
-// shows up as a different Jacobian. A counting model measures the saving.
+// CvSample, keyed on the bitwise bias pair, cleared by begin_transient. A
+// hit must be bitwise the model call, so every run below equals the same
+// run on a freshly built cell, whose memo holds nothing from earlier work:
+// on a second transient of the same circuit, and on a transient-tape
+// resume. The stamp-level cases place a stale entry exactly at the next
+// stamp's bias, so a missing invalidation shows up as a different
+// Jacobian. A counting model measures the saving.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 
 #include "device/models.hpp"
 #include "device/table_builder.hpp"
-#include "mc/variation.hpp"
 #include "spice/dc.hpp"
 #include "spice/solution.hpp"
 #include "spice/stats.hpp"
@@ -80,25 +78,6 @@ private:
     spice::TransistorModelPtr inner_;
 };
 
-/// The inner model's I-V with its C-V doubled: same operating points,
-/// different capacitor stamps.
-class DoubledCv final : public spice::TransistorModel {
-public:
-    explicit DoubledCv(spice::TransistorModelPtr inner)
-        : inner_(std::move(inner)) {}
-    [[nodiscard]] spice::IvSample iv(double vgs, double vds) const override {
-        return inner_->iv(vgs, vds);
-    }
-    [[nodiscard]] spice::CvSample cv(double vgs, double vds) const override {
-        const spice::CvSample c = inner_->cv(vgs, vds);
-        return {2.0 * c.cgs, 2.0 * c.cgd};
-    }
-    [[nodiscard]] const char* name() const override { return "doubled C-V"; }
-
-private:
-    spice::TransistorModelPtr inner_;
-};
-
 // ------------------------------------------------------- stamp level
 
 /// A lone transistor (drain node 1, gate node 2, source ground) stamped
@@ -133,25 +112,6 @@ const la::Vector kBias = {0.61, 0.43}; // vds, vgs
 void expect_same_jacobian(const la::Matrix& a, const la::Matrix& b,
                           const std::string& what) {
     EXPECT_TRUE(same_bits(a.data(), b.data(), 4 * sizeof(double))) << what;
-}
-
-TEST(CvMemoStamp, SetModelDropsTheEntryAtTheNextStampsBias) {
-    const auto model_a = nominal().ntfet;
-    const auto model_b = std::make_shared<DoubledCv>(model_a);
-    LoneDevice dev(model_a);
-    dev.t.begin_transient(kStart);
-    dev.t.accept_step(LoneDevice::step(), kBias); // memo: kBias -> A's C-V
-    dev.t.set_model(model_b);
-    const la::Matrix got = dev.jacobian(kBias);
-
-    LoneDevice fresh(model_b);
-    fresh.t.begin_transient(kStart);
-    expect_same_jacobian(got, fresh.jacobian(kBias), "after set_model");
-    // And the two models really stamp differently at this bias.
-    LoneDevice other(model_a);
-    other.t.begin_transient(kStart);
-    EXPECT_FALSE(same_bits(got.data(), other.jacobian(kBias).data(),
-                           4 * sizeof(double)));
 }
 
 TEST(CvMemoStamp, BeginTransientRereadsATableEditedInPlace) {
@@ -238,19 +198,6 @@ struct Writer {
                                       w.t_end, nullptr, &guess, tape);
     }
 };
-
-TEST(CvMemoCircuit, ModelSwapBetweenTransientsMatchesAFreshCell) {
-    const mc::TfetVariationSampler sampler(mc::VariationSpec{});
-    const mc::TfetVariationSampler::Draw draw = sampler.sample_at(1.5);
-    Writer lane(beta2_config(nominal()));
-    ASSERT_TRUE(lane.run(1e-9, lane.hold).completed);
-    sram::retarget_models(lane.cell, draw.models);
-
-    Writer fresh(beta2_config(draw.models));
-    const spice::TransientResult swapped = lane.run(1e-9, fresh.hold);
-    ASSERT_TRUE(swapped.completed);
-    expect_identical(swapped, fresh.run(1e-9, fresh.hold), "retargeted lane");
-}
 
 TEST(CvMemoCircuit, SecondTransientOnTheSameCircuitMatchesAFreshCell) {
     Writer cell(beta2_config(nominal()));

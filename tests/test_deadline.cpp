@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "mc/batch.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mc/statistics.hpp"
 #include "runner/runner.hpp"
@@ -387,10 +386,9 @@ TEST(McCancellation, DeadlineCensoredSamplesFlowIntoYieldInterval) {
 }
 
 TEST(McCancellation, MidBatchExpiryCensorsOnlyRemainingSamples) {
-    // The token fires from *inside* the lockstep batch — after sample 2's
-    // metric has already produced its value. The completed samples must
-    // survive; only the not-yet-evaluated tail is censored, and both
-    // engines agree on the split and the surviving values bitwise.
+    // The token fires from *inside* the batch — after sample 2's metric
+    // has already produced its value. The completed samples must survive;
+    // only the not-yet-evaluated tail is censored.
     const sram::CellConfig cfg =
         sram::proposed_design(0.8, device::make_model_set()).config;
     mc::VariationSpec vspec;
@@ -399,51 +397,35 @@ TEST(McCancellation, MidBatchExpiryCensorsOnlyRemainingSamples) {
     constexpr std::size_t kN = 6;
     constexpr std::uint64_t kSeed = 23;
 
-    struct Scenario {
-        mc::McResult result;
-        int metric_calls = 0;
+    spice::SimConfig sim;
+    sim.cancel = std::make_shared<spice::CancelToken>();
+    spice::SimContext ctx(sim);
+    int metric_calls = 0;
+    const mc::CellMetric metric = [&](sram::SramCell& cell) {
+        // Solve first, cancel after: the value is complete before the
+        // token fires, so this sample must NOT be censored.
+        const double v =
+            sram::worst_hold_static_power(cell, sram::MetricOptions{});
+        if (++metric_calls == 3)
+            sim.cancel->cancel();
+        return v;
     };
-    const auto run = [&](bool batched) {
-        spice::SimConfig sim;
-        sim.cancel = std::make_shared<spice::CancelToken>();
-        spice::SimContext ctx(sim);
-        Scenario s;
-        const mc::CellMetric metric = [&](sram::SramCell& cell) {
-            // Solve first, cancel after: the value is complete before the
-            // token fires, so this sample must NOT be censored.
-            const double v =
-                sram::worst_hold_static_power(cell, sram::MetricOptions{});
-            if (++s.metric_calls == 3)
-                sim.cancel->cancel();
-            return v;
-        };
-        s.result =
-            batched ? mc::run_monte_carlo_batched(ctx, cfg, sampler, kN,
-                                                  kSeed, metric,
-                                                  /*threads=*/1)
-                    : mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed,
-                                          metric, /*threads=*/1);
-        return s;
-    };
-
-    const Scenario serial = run(false);
-    const Scenario batched = run(true);
-    for (const Scenario* s : {&serial, &batched}) {
-        EXPECT_EQ(s->metric_calls, 3);
-        ASSERT_EQ(s->result.samples.size(), kN);
-        for (std::size_t i = 0; i < kN; ++i)
-            EXPECT_EQ(s->result.censored[i], i < 3 ? 0 : 1) << "i=" << i;
-        EXPECT_EQ(s->result.n_censored, kN - 3);
-        EXPECT_EQ(s->result.summary.count, 3u);
+    const mc::McResult res = mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed,
+                                                 metric, /*threads=*/1);
+    EXPECT_EQ(metric_calls, 3);
+    ASSERT_EQ(res.samples.size(), kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(res.censored[i], i < 3 ? 0 : 1) << "i=" << i;
+        EXPECT_EQ(std::isnan(res.samples[i]), i >= 3) << "i=" << i;
     }
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(batched.result.samples[i], serial.result.samples[i]) << i;
+    EXPECT_EQ(res.n_censored, kN - 3);
+    EXPECT_EQ(res.summary.count, 3u);
 
     // The conservative interval stays honest about the censored tail: the
     // 3 evaluated passes prove no more than 3-of-6 worst-case, no less
     // than 6-of-6 best-case.
-    const mc::YieldInterval cens = mc::censored_yield_interval(
-        3, 3, batched.result.n_censored);
+    const mc::YieldInterval cens =
+        mc::censored_yield_interval(3, 3, res.n_censored);
     EXPECT_DOUBLE_EQ(cens.lower, mc::yield_interval(3, 6).lower);
     EXPECT_DOUBLE_EQ(cens.upper, mc::yield_interval(6, 6).upper);
     EXPECT_LT(cens.lower, mc::yield_interval(3, 3).lower);
@@ -465,39 +447,30 @@ TEST(McCancellation, PreFiredTokenCensorsWithoutExtractingDraws) {
     for (std::size_t i = 0; i < kN; ++i)
         expect_tox.push_back(sampler.sample_tox(rng));
 
-    for (bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "lockstep" : "serial");
-        spice::SimConfig sim;
-        sim.cancel = std::make_shared<spice::CancelToken>();
-        sim.cancel->cancel();
-        const spice::SimContext ctx(sim);
-        int metric_calls = 0;
-        const mc::CellMetric metric = [&](sram::SramCell&) {
-            ++metric_calls;
-            return 0.0;
-        };
-        mc::BatchStats stats;
-        const mc::McResult res =
-            batched ? mc::run_monte_carlo_batched(ctx, cfg, sampler, kN,
-                                                  kSeed, metric,
-                                                  /*threads=*/2,
-                                                  mc::McPolicy{}, &stats)
-                    : mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed,
-                                          metric, /*threads=*/2);
-        EXPECT_EQ(metric_calls, 0);
-        EXPECT_EQ(res.n_censored, kN);
-        EXPECT_EQ(res.n_retried, 0u);
-        EXPECT_EQ(res.summary.count, 0u);
-        ASSERT_EQ(res.tox_values.size(), kN);
-        for (std::size_t i = 0; i < kN; ++i) {
-            EXPECT_EQ(res.censored[i], 1) << "i=" << i;
-            EXPECT_EQ(res.tox_values[i], expect_tox[i]) << "i=" << i;
-        }
-        if (batched) {
-            EXPECT_EQ(stats.draws, 0u);
-            EXPECT_EQ(stats.cell_builds, 0u);
-        }
+    spice::SimConfig sim;
+    sim.cancel = std::make_shared<spice::CancelToken>();
+    sim.cancel->cancel();
+    const spice::SimContext ctx(sim);
+    int metric_calls = 0;
+    const mc::CellMetric metric = [&](sram::SramCell&) {
+        ++metric_calls;
+        return 0.0;
+    };
+    mc::BatchStats stats;
+    const mc::McResult res =
+        mc::run_monte_carlo(ctx, cfg, sampler, kN, kSeed, metric,
+                            /*threads=*/2, mc::McPolicy{}, &stats);
+    EXPECT_EQ(metric_calls, 0);
+    EXPECT_EQ(res.n_censored, kN);
+    EXPECT_EQ(res.n_retried, 0u);
+    EXPECT_EQ(res.summary.count, 0u);
+    ASSERT_EQ(res.tox_values.size(), kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(res.censored[i], 1) << "i=" << i;
+        EXPECT_EQ(res.tox_values[i], expect_tox[i]) << "i=" << i;
     }
+    EXPECT_EQ(stats.draws, 0u);
+    EXPECT_EQ(stats.cell_builds, 0u);
 }
 
 // ------------------------------------------------------- stall fault site

@@ -396,7 +396,7 @@ TEST(McCensoring, AllAttemptsFailingCensorsTheSample) {
         reseeds.emplace_back(attempt, i);
     };
     const mc::McResult res = mc::run_monte_carlo(
-        cfg, sampler, 4, 7,
+        spice::ambient_context(), cfg, sampler, 4, 7,
         [&](sram::SramCell&) -> double {
             ++calls;
             throw forced_failure();
@@ -428,7 +428,7 @@ TEST(McCensoring, RetryRecoversWithoutCensoring) {
     mc::McPolicy policy;
     policy.max_attempts = 3;
     const mc::McResult res = mc::run_monte_carlo(
-        cfg, sampler, 4, 7,
+        spice::ambient_context(), cfg, sampler, 4, 7,
         [&](sram::SramCell&) -> double {
             if (call++ % 2 == 0)
                 throw forced_failure();
@@ -449,7 +449,7 @@ TEST(McCensoring, NoFaultMeansNoRetries) {
         sram::proposed_design(0.8, device::make_model_set()).config;
     const mc::TfetVariationSampler sampler(coarse_spec());
     const mc::McResult res = mc::run_monte_carlo(
-        cfg, sampler, 4, 7,
+        spice::ambient_context(), cfg, sampler, 4, 7,
         [](sram::SramCell& cell) { return cell.config.vdd; }, 1);
     EXPECT_EQ(res.n_censored, 0u);
     EXPECT_EQ(res.n_retried, 0u);

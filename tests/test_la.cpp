@@ -538,6 +538,20 @@ TEST(SparseLu, ZeroDiagonalRequiresPivoting) {
     EXPECT_NEAR(x[1], 2.0, 1e-15);
 }
 
+TEST(SparseLu, ExplicitOrderMustBeAPermutation) {
+    const SparseMatrix s = SparseMatrix::from_dense(Matrix::identity(3));
+    SparseLu lu;
+    EXPECT_THROW(lu.analyze(s, {0, 1, 1}), contract_violation); // repeat
+    EXPECT_THROW(lu.analyze(s, {0, 1, 3}), contract_violation); // >= n
+    EXPECT_THROW(lu.analyze(s, {0, 1}), contract_violation);    // length
+    EXPECT_FALSE(lu.analyzed());
+    lu.analyze(s, {2, 0, 1});
+    EXPECT_TRUE(lu.analyzed());
+    ASSERT_TRUE(lu.refactor(s));
+    const Vector x = lu.solve({1.0, 2.0, 3.0});
+    EXPECT_EQ(x, (Vector{1.0, 2.0, 3.0}));
+}
+
 TEST(SparseLu, PivotSpreadMatchesDenseDiagnostic) {
     Matrix a = Matrix::identity(3);
     a(2, 2) = 1e-6;

@@ -69,6 +69,7 @@ TEST(MonteCarlo, RunsMetricPerSample) {
     const TfetVariationSampler sampler(spec());
     std::atomic<int> calls{0};
     const McResult res = run_monte_carlo(
+        spice::ambient_context(),
         cfg, sampler, 8, 99, [&](sram::SramCell& cell) {
             ++calls;
             return cell.config.vdd; // trivially constant metric
@@ -88,8 +89,9 @@ TEST(MonteCarlo, SeedReproducible) {
         // Proxy metric keyed to the sampled device: mid-swing current.
         return cell.config.models.ntfet->iv(0.5, 0.8).ids;
     };
-    const McResult a = run_monte_carlo(cfg, sampler, 6, 1234, metric);
-    const McResult b = run_monte_carlo(cfg, sampler, 6, 1234, metric);
+    const spice::SimContext& ctx = spice::ambient_context();
+    const McResult a = run_monte_carlo(ctx, cfg, sampler, 6, 1234, metric);
+    const McResult b = run_monte_carlo(ctx, cfg, sampler, 6, 1234, metric);
     EXPECT_EQ(a.samples, b.samples);
 }
 
@@ -98,7 +100,7 @@ TEST(MonteCarlo, HistogramCoversSamples) {
         sram::proposed_design(0.8, device::make_model_set()).config;
     const TfetVariationSampler sampler(spec());
     const McResult res = run_monte_carlo(
-        cfg, sampler, 16, 5,
+        spice::ambient_context(), cfg, sampler, 16, 5,
         [](sram::SramCell& cell) {
             return cell.config.models.ntfet->iv(0.5, 0.8).ids;
         });
@@ -120,8 +122,10 @@ TEST(MonteCarlo, ParallelMatchesSerial) {
     const auto metric = [](sram::SramCell& cell) {
         return cell.config.models.ntfet->iv(0.5, 0.8).ids;
     };
-    const McResult serial = run_monte_carlo(cfg, sampler, 8, 5, metric, 1);
-    const McResult parallel = run_monte_carlo(cfg, sampler, 8, 5, metric, 4);
+    const spice::SimContext& ctx = spice::ambient_context();
+    const McResult serial = run_monte_carlo(ctx, cfg, sampler, 8, 5, metric, 1);
+    const McResult parallel =
+        run_monte_carlo(ctx, cfg, sampler, 8, 5, metric, 4);
     EXPECT_EQ(serial.samples, parallel.samples);
     EXPECT_EQ(serial.tox_values, parallel.tox_values);
 }
@@ -137,11 +141,13 @@ TEST(Sec43Variation, WlcritVariesStronglyDrnmBarely) {
     const sram::MetricOptions opts;
 
     const McResult wl = run_monte_carlo(
+        spice::ambient_context(),
         cfg, sampler, 15, 77, [&](sram::SramCell& cell) {
             return sram::critical_wordline_pulse(cell, sram::Assist::kNone,
                                                  opts);
         });
     const McResult dr = run_monte_carlo(
+        spice::ambient_context(),
         cfg, sampler, 15, 77, [&](sram::SramCell& cell) {
             const sram::DrnmResult d = sram::dynamic_read_noise_margin(
                 cell, sram::Assist::kRaGndLowering, opts);

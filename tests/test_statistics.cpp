@@ -127,7 +127,7 @@ TEST(Sensitivity, WlcritVsToxIsSteeplyNegative) {
     const TfetVariationSampler sampler(vspec);
     const sram::MetricOptions opts;
     const McResult res = run_monte_carlo(
-        cfg, sampler, 12, 31,
+        spice::ambient_context(), cfg, sampler, 12, 31,
         [&](sram::SramCell& cell) {
             return sram::critical_wordline_pulse(cell, sram::Assist::kNone,
                                                  opts);

@@ -79,6 +79,7 @@ TEST(ZooSignoff, McRunsOnSpecBuiltTopology) {
     const sram::DesignSpec design = sram::tfet8t_design(0.8, models);
     const mc::TfetVariationSampler sampler{mc::VariationSpec{}};
     const mc::McResult res = mc::run_monte_carlo(
+        spice::ambient_context(),
         design.config, sampler, 4, 17, [](sram::SramCell& cell) {
             const auto d = sram::dynamic_read_noise_margin(cell);
             return d.valid && !d.flipped ? d.drnm : 0.0;
