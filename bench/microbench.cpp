@@ -157,7 +157,8 @@ int run_microbench(const runner::RunnerConfig& config) {
         la::Vector x = hs.x;
         const Meter m = metered(100, [&](std::size_t) {
             const spice::DcResult d =
-                spice::solve_dc(cell.circuit, opts.solver, 0.0, &x);
+                spice::solve_dc(cell.circuit, spice::ambient_context(),
+                                opts.solver, 0.0, &x);
             TFET_ASSERT(d.converged);
         });
         return to_result("dc_resolve", m);

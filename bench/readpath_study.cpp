@@ -101,7 +101,8 @@ Sense run_once(double vdd_level, double sae_delay) {
     guess[p.bl - 1] = vdd_level;
     guess[p.blb - 1] = vdd_level;
     const spice::TransientResult tr =
-        spice::solve_transient(p.ckt, {}, t_end, nullptr, &guess);
+        spice::solve_transient(p.ckt, spice::ambient_context(), {}, t_end,
+                               nullptr, &guess);
     Sense s;
     if (!tr.completed)
         return s;

@@ -3,7 +3,8 @@
 # the standard RelWithDebInfo build + full ctest, a
 # fault-injection job exercising the keep-going/quarantine path end to end,
 # the solver microbenchmark (cache off, so every counter in the log is a
-# fresh measurement — docs/SOLVER.md), a cell-zoo job qualifying every
+# fresh measurement — docs/SOLVER.md), a determinism gate holding the
+# fig6/fig9/fig10 CSVs byte-identical at 1 and 4 threads, a cell-zoo job qualifying every
 # registered cell spec through signoff and the corner-sweep bench
 # (docs/CELLZOO.md), short traced perfbench runs of all three benchmark
 # workloads checked for correctness, counter repeatability and predicted
@@ -26,7 +27,8 @@
 # sanitizer jobs: the ASan+UBSan build runs the `diff`-labelled harnesses
 # (sparse-vs-dense kernel parity AND mixed-vs-flat engine parity), and the
 # TSan build runs the hier unit suite, whose counter contracts flow through
-# the ambient context's SolverStats sink the context tests race on.
+# the SolverStats sink of each array's context, which the context tests
+# race on.
 #
 # Usage: ./ci.sh [--skip-tsan] [--skip-asan]
 set -euo pipefail
@@ -146,6 +148,27 @@ echo "=== microbench: mc_yield wall regression gate ==="
 # mc::run_monte_carlo (docs/YIELD.md); its wall gate catches a regression
 # in the estimator's sample economy or the engine's per-sample cost.
 gate_wall mc_yield
+
+echo "=== determinism: figure CSVs identical at 1 and 4 threads ==="
+# The Monte-Carlo figures fan samples out over the pool and the runner
+# schedules sweep points dynamically; neither may change an output byte.
+# Cache off so both runs compute every point; a reduced sample count keeps
+# the two runs to seconds.
+DET_OUT="build/ci_determinism"
+rm -rf "$DET_OUT"
+for threads in 1 4; do
+  out="$DET_OUT/threads$threads"
+  mkdir -p "$out"
+  TFETSRAM_THREADS="$threads" TFETSRAM_CACHE=off TFETSRAM_MC_SAMPLES=12 \
+    TFETSRAM_OUT_DIR="$out" ./build/bench/fig9_mc_write_assist >/dev/null
+  TFETSRAM_THREADS="$threads" TFETSRAM_CACHE=off TFETSRAM_MC_SAMPLES=12 \
+    TFETSRAM_OUT_DIR="$out" \
+    ./build/bench/run_all fig6_write_assist fig10_mc_read_assist >/dev/null
+done
+for name in fig9_mc_write_assist fig6_write_assist fig10_mc_read_assist; do
+  cmp "$DET_OUT/threads1/$name.csv" "$DET_OUT/threads4/$name.csv"
+done
+echo "fig6, fig9 and fig10 CSVs byte-identical at 1 and 4 threads"
 
 echo "=== cell zoo: every registered spec through signoff + bench ==="
 # The zoo-labelled suite instantiates every cell-zoo entry, runs the full
@@ -291,7 +314,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_faults \
 # scheduler's drain. The deadline suite must be TSan-clean.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_deadline
 # Mixed-engine counter contracts: hier promotions/demotions bump the
-# ambient context's SolverStats; the exact-count assertions must hold
+# operation's context's SolverStats; the exact-count assertions must hold
 # under TSan's scheduling too.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_hier
 

@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
 
     try {
         // All analyses below run under one explicit simulation context
-        // (solver options, backend policy, stats) built from the
-        // environment once.
+        // (backend policy, stats) built from the environment once, to the
+        // default tolerances.
         const spice::SimContext ctx(spice::SimConfig::from_env());
+        const spice::SolverOptions opts;
         const netlist::Netlist deck = netlist::Netlist::parse_file(argv[1]);
         std::cout << "* " << deck.title() << "\n"
                   << "* " << deck.element_count() << " elements, "
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
                     return 1;
                 }
                 const spice::AcResult ac = spice::solve_ac(
-                    ckt, ctx, {stim, deck.ac_magnitude()}, an.f_start,
+                    ckt, ctx, opts, {stim, deck.ac_magnitude()}, an.f_start,
                     an.f_stop, an.points_per_decade, guess_ptr);
                 if (!ac.ok) {
                     std::cerr << "ac failed: " << ac.message << "\n";
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
             }
             if (an.kind == netlist::Analysis::Kind::kOperatingPoint) {
                 const spice::DcResult r =
-                    spice::solve_dc(ckt, ctx, 0.0, guess_ptr);
+                    spice::solve_dc(ckt, ctx, opts, 0.0, guess_ptr);
                 if (!r.converged) {
                     std::cerr << "operating point did not converge\n";
                     return 1;
@@ -117,7 +118,7 @@ int main(int argc, char** argv) {
                           << "\n\n";
             } else {
                 const spice::TransientResult tr = spice::solve_transient(
-                    ckt, ctx, an.tstop, nullptr, guess_ptr);
+                    ckt, ctx, opts, an.tstop, nullptr, guess_ptr);
                 if (!tr.completed) {
                     std::cerr << "transient failed: " << tr.message << "\n";
                     return 1;

@@ -20,7 +20,7 @@ int main() {
     const device::ModelSet models = device::make_model_set();
 
     // An explicit simulation context pinned to the cell: every operation
-    // and metric below runs under it (options, solver policy, counters).
+    // and metric below runs under it (solver policy, counters).
     const spice::SimContext ctx(spice::SimConfig::from_env());
     const sram::DesignSpec design = sram::proposed_design(0.8, models);
     sram::SramCell cell = sram::build_cell(design.config, &ctx);
@@ -42,7 +42,7 @@ int main() {
         return 1;
     }
     const spice::TransientResult wr = spice::solve_transient(
-        cell.circuit, ctx, w.t_end, nullptr, &hs.x);
+        cell.circuit, ctx, opts.solver, w.t_end, nullptr, &hs.x);
     if (!wr.completed) {
         std::cerr << "write transient failed: " << wr.message << "\n";
         return 1;

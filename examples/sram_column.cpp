@@ -91,13 +91,14 @@ Column build_column(const device::ModelSet& m) {
 /// DC hold state with each row holding the given value.
 la::Vector settle(Column& col, const spice::SimContext& ctx,
                   const std::array<bool, kRows>& data) {
-    spice::DcResult d0 = spice::solve_dc(col.ckt, ctx);
+    spice::DcResult d0 = spice::solve_dc(col.ckt, ctx, {});
     la::Vector guess = d0.x;
     for (int r = 0; r < kRows; ++r) {
         guess[col.rows[r].q - 1] = data[r] ? kVdd : 0.0;
         guess[col.rows[r].qb - 1] = data[r] ? 0.0 : kVdd;
     }
-    const spice::DcResult d1 = spice::solve_dc(col.ckt, ctx, 0.0, &guess);
+    const spice::DcResult d1 =
+        spice::solve_dc(col.ckt, ctx, {}, 0.0, &guess);
     TFET_ASSERT(d1.converged);
     return d1.x;
 }
@@ -173,7 +174,7 @@ int main() {
             continue; // nothing to flip
         const double t_end = program_write(col, r, pattern[r]);
         const spice::TransientResult tr =
-            spice::solve_transient(col.ckt, ctx, t_end, nullptr, &state);
+            spice::solve_transient(col.ckt, ctx, {}, t_end, nullptr, &state);
         if (!tr.completed) {
             std::cerr << "write failed: " << tr.message << "\n";
             return 1;
@@ -200,7 +201,8 @@ int main() {
     for (int r = 0; r < kRows; ++r) {
         const ReadPlan plan = program_read(col, r);
         const spice::TransientResult tr =
-            spice::solve_transient(col.ckt, ctx, plan.t_end, nullptr, &state);
+            spice::solve_transient(col.ckt, ctx, {}, plan.t_end, nullptr,
+                                   &state);
         if (!tr.completed) {
             std::cerr << "read failed: " << tr.message << "\n";
             return 1;

@@ -160,7 +160,7 @@ bool SramArray::initialize(const std::vector<std::vector<bool>>& data) {
         TFET_EXPECTS(row.size() == config_.cols);
 
     quiesce();
-    const spice::ScopedContext bind(sim_);
+    const spice::SimContext& ctx = spice::context_or_ambient(sim_);
     const spice::SolverOptions opts;
     const double vdd = config_.cell.vdd;
 
@@ -190,21 +190,21 @@ bool SramArray::initialize(const std::vector<std::vector<bool>>& data) {
     };
     impose(guess);
     spice::SolverOptions crawl = opts;
-    crawl.dv_limit = 0.05;
-    spice::DcResult settled = spice::solve_dc(ckt_, opts, 0.0, &guess);
+    crawl.dv_limit = spice::kCrawlDvLimit;
+    spice::DcResult settled = spice::solve_dc(ckt_, ctx, opts, 0.0, &guess);
     if (!settled.converged)
-        settled = spice::solve_dc(ckt_, crawl, 0.0, &guess);
+        settled = spice::solve_dc(ckt_, ctx, crawl, 0.0, &guess);
     if (!settled.converged) {
         // Analytic seeding failed (an exotic cell/assist combination may
         // quiesce away from the ideal rails): fall back to the historical
         // path — settle cold, impose the data on the settled state, re-solve.
-        const spice::DcResult cold = spice::solve_dc(ckt_, opts);
+        const spice::DcResult cold = spice::solve_dc(ckt_, ctx, opts);
         la::Vector from_cold =
             cold.converged ? cold.x : la::Vector(ckt_.num_unknowns(), 0.0);
         impose(from_cold);
-        settled = spice::solve_dc(ckt_, opts, 0.0, &from_cold);
+        settled = spice::solve_dc(ckt_, ctx, opts, 0.0, &from_cold);
         if (!settled.converged)
-            settled = spice::solve_dc(ckt_, crawl, 0.0, &from_cold);
+            settled = spice::solve_dc(ckt_, ctx, crawl, 0.0, &from_cold);
         if (!settled.converged)
             return false;
     }
@@ -234,10 +234,9 @@ SolverInfo SramArray::solver_info() {
 }
 
 bool SramArray::run(double t_end, std::string* message) {
-    const spice::ScopedContext bind(sim_);
-    const spice::SolverOptions opts;
     const spice::TransientResult tr =
-        spice::solve_transient(ckt_, opts, t_end, nullptr, &state_);
+        spice::solve_transient(ckt_, spice::context_or_ambient(sim_),
+                               spice::SolverOptions{}, t_end, nullptr, &state_);
     if (!tr.completed) {
         if (message != nullptr)
             *message = tr.message;

@@ -197,17 +197,16 @@ RobustDesignReport explore(const ExplorerOptions& opt) {
         RobustnessCheck check;
         check.samples = opt.mc_samples;
         const auto metric_opts = opt.metrics;
+        const spice::SimContext& ctx = spice::ambient_context();
         const mc::McResult drnm_mc = mc::run_monte_carlo(
-            spice::ambient_context(),
-            rec.config, sampler, opt.mc_samples, opt.mc_seed,
+            ctx, rec.config, sampler, opt.mc_samples, opt.mc_seed,
             [&](sram::SramCell& cell) {
                 const sram::DrnmResult d = sram::dynamic_read_noise_margin(
                     cell, rec.read_assist, metric_opts);
                 return d.valid ? d.drnm : std::nan("");
             });
         const mc::McResult wl_mc = mc::run_monte_carlo(
-            spice::ambient_context(),
-            rec.config, sampler, opt.mc_samples, opt.mc_seed + 1,
+            ctx, rec.config, sampler, opt.mc_samples, opt.mc_seed + 1,
             [&](sram::SramCell& cell) {
                 return sram::critical_wordline_pulse(cell, rec.write_assist,
                                                      metric_opts);

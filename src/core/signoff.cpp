@@ -47,8 +47,8 @@ SignoffReport signoff(const sram::DesignSpec& design,
                       const SignoffRequirements& req,
                       const SignoffConditions& cond) {
     // Every corner, static analysis, and MC batch below runs under this
-    // one context (no-op when cond.sim is null).
-    const spice::ScopedContext bind_sim(cond.sim);
+    // one context: cond.sim, else the caller's ambient context.
+    const spice::SimContext& ctx = spice::context_or_ambient(cond.sim);
     SignoffReport rep;
     rep.design_name = design.name;
     const sram::MetricOptions& mo = cond.metrics;
@@ -68,7 +68,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
         sram::CellConfig cfg = design.config;
         cfg.vdd = vdd;
         cfg.models = tox_models[ti];
-        sram::SramCell cell = sram::build_cell(cfg);
+        sram::SramCell cell = sram::build_cell(cfg, &ctx);
 
         CornerRow row;
         row.vdd = vdd;
@@ -115,7 +115,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
     for (double temp : cond.temperature_corners) {
         sram::CellConfig cfg = design.config;
         cfg.models = models_at(tfet_params, temp);
-        sram::SramCell cell = sram::build_cell(cfg);
+        sram::SramCell cell = sram::build_cell(cfg, &ctx);
         TemperatureRow row;
         row.temperature = temp;
         row.static_power = sram::worst_hold_static_power(cell, mo);
@@ -129,10 +129,13 @@ SignoffReport signoff(const sram::DesignSpec& design,
 
     // ---- Static analyses at nominal ----
     {
+        // SNM and DRV build their own cells, which run under the ambient
+        // context.
+        const spice::ScopedContext bind(ctx);
         sram::CellConfig cfg = design.config;
         cfg.models = nominal_models;
         const sram::SnmResult snm =
-            sram::static_noise_margin(cfg, sram::SnmMode::kHold);
+            sram::static_noise_margin(cfg, sram::SnmMode::kHold, 81, mo.solver);
         rep.hold_snm = snm.valid ? snm.snm : 0.0;
         check(rep.failures, rep.hold_snm >= req.min_hold_snm,
               "hold SNM " + format_margin(rep.hold_snm));
@@ -150,8 +153,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
 
         if (design.wlcrit_defined) {
             const mc::McResult wl = mc::run_monte_carlo(
-                spice::ambient_context(),
-                cfg, sampler, cond.mc_samples, cond.mc_seed,
+                ctx, cfg, sampler, cond.mc_samples, cond.mc_seed,
                 [&](sram::SramCell& cell) {
                     return sram::critical_wordline_pulse(
                         cell, design.write_assist, mo);
@@ -164,8 +166,7 @@ SignoffReport signoff(const sram::DesignSpec& design,
                       std::to_string(wl.summary.n_infinite) + " failures)");
         }
         const mc::McResult dr = mc::run_monte_carlo(
-            spice::ambient_context(),
-            cfg, sampler, cond.mc_samples, cond.mc_seed + 1,
+            ctx, cfg, sampler, cond.mc_samples, cond.mc_seed + 1,
             [&](sram::SramCell& cell) {
                 const auto d = sram::dynamic_read_noise_margin(
                     cell, design.read_assist, mo);

@@ -14,8 +14,7 @@ using spice::Waveform;
 
 LatchedCellModel::LatchedCellModel(const sram::CellConfig& config,
                                    const spice::SimContext* sim)
-    : sim_(sim),
-      probe_(std::make_unique<sram::SramCell>(sram::build_cell(config, sim))) {
+    : probe_(std::make_unique<sram::SramCell>(sram::build_cell(config, sim))) {
 }
 
 LatchedCellModel::~LatchedCellModel() = default;
@@ -63,7 +62,7 @@ BitlineLoad LatchedCellModel::extract(bool value, double vss, double v_bl,
     cell.v_bl->set_waveform(Waveform::dc(v_bl));
     cell.v_blb->set_waveform(Waveform::dc(v_blb));
 
-    const spice::ScopedContext bind(sim_);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     const spice::SolverOptions opts;
     // cold_guess_ is only a warm start here: solve_hold_state re-solves at
     // the current bias regardless, so reusing the previous bias's settling
@@ -85,8 +84,8 @@ BitlineLoad LatchedCellModel::extract(bool value, double vss, double v_bl,
                          double* i_out) {
         src->set_waveform(Waveform::dc(base + dv));
         la::Vector guess = hs.x;
-        const spice::DcResult d = spice::solve_dc(cell.circuit, opts, 0.0,
-                                                  &guess);
+        const spice::DcResult d =
+            spice::solve_dc(cell.circuit, ctx, opts, 0.0, &guess);
         src->set_waveform(Waveform::dc(base));
         if (!d.converged)
             return false;

@@ -59,7 +59,7 @@ struct BitlineLoad {
 class LatchedCellModel {
 public:
     /// `sim` (non-owning, optional) pins extraction solves to an explicit
-    /// context.
+    /// context; the probe cell carries it as SramCell::sim.
     explicit LatchedCellModel(const sram::CellConfig& config,
                               const spice::SimContext* sim = nullptr);
     ~LatchedCellModel();
@@ -90,7 +90,6 @@ private:
     [[nodiscard]] BitlineLoad extract(bool value, double vss, double v_bl,
                                       double v_blb);
 
-    const spice::SimContext* sim_;
     std::unique_ptr<sram::SramCell> probe_;
     la::Vector cold_guess_;
     double extraction_dv_ = 10e-3;

@@ -44,7 +44,6 @@ bool MixedArray::initialize(const std::vector<std::vector<bool>>& data) {
     for (const auto& row : data)
         TFET_EXPECTS(row.size() == config_.cols);
 
-    const spice::ScopedContext bind(sim_);
     const double vdd = config_.cell.vdd;
     for (std::size_t r = 0; r < config_.rows; ++r) {
         for (std::size_t c = 0; c < config_.cols; ++c) {
@@ -237,9 +236,10 @@ void MixedArray::program(Partition& part, const PartitionPlan& plan,
     target.sw_blb->set_control(ops.access.sw_blb);
 }
 
-bool MixedArray::solve_partition_dc(Partition& part, std::string* message) {
+bool MixedArray::solve_partition_dc(const spice::SimContext& ctx,
+                                    Partition& part, std::string* message) {
     const spice::SolverOptions opts;
-    const spice::DcResult cold = spice::solve_dc(part.ckt, opts);
+    const spice::DcResult cold = spice::solve_dc(part.ckt, ctx, opts);
     la::Vector guess = cold.converged
                            ? cold.x
                            : la::Vector(part.ckt.num_unknowns(), 0.0);
@@ -249,11 +249,12 @@ bool MixedArray::solve_partition_dc(Partition& part, std::string* message) {
         guess[ac.q - 1] = s.v_q;
         guess[ac.qb - 1] = s.v_qb;
     }
-    spice::DcResult settled = spice::solve_dc(part.ckt, opts, 0.0, &guess);
+    spice::DcResult settled =
+        spice::solve_dc(part.ckt, ctx, opts, 0.0, &guess);
     if (!settled.converged) {
         spice::SolverOptions crawl = opts;
-        crawl.dv_limit = 0.05;
-        settled = spice::solve_dc(part.ckt, crawl, 0.0, &guess);
+        crawl.dv_limit = spice::kCrawlDvLimit;
+        settled = spice::solve_dc(part.ckt, ctx, crawl, 0.0, &guess);
         if (!settled.converged) {
             if (message != nullptr)
                 *message = "active-partition DC init failed to converge";
@@ -265,8 +266,8 @@ bool MixedArray::solve_partition_dc(Partition& part, std::string* message) {
 }
 
 MixedArray::AttemptOutcome
-MixedArray::run_attempt(Partition& part, double t_end,
-                        const std::vector<bool>& monitor_col) {
+MixedArray::run_attempt(const spice::SimContext& ctx, Partition& part,
+                        double t_end, const std::vector<bool>& monitor_col) {
     AttemptOutcome out;
     const double gb = partitioner_.policy().guard_band;
     const double vdd = config_.cell.vdd;
@@ -303,9 +304,8 @@ MixedArray::run_attempt(Partition& part, double t_end,
             return false;
         };
     }
-    const spice::SolverOptions opts;
-    const spice::TransientResult tr =
-        spice::solve_transient(part.ckt, opts, t_end, stop, &part.state);
+    const spice::TransientResult tr = spice::solve_transient(
+        part.ckt, ctx, spice::SolverOptions{}, t_end, stop, &part.state);
     if (!tr.completed) {
         out.message = tr.message;
         out.guard_tripped = false;
@@ -318,8 +318,8 @@ MixedArray::run_attempt(Partition& part, double t_end,
     return out;
 }
 
-void MixedArray::drain_events() {
-    spice::SolverStats& ss = spice::solver_stats();
+void MixedArray::drain_events(const spice::SimContext& ctx) {
+    spice::SolverStats& ss = ctx.stats();
     while (!queue_.empty()) {
         const Event ev = queue_.pop();
         switch (ev.kind) {
@@ -354,6 +354,8 @@ void MixedArray::relatch(const Partition& part) {
 }
 
 MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
+    // Every solve and counter of the operation goes to one context.
+    const spice::SimContext& ctx = spice::context_or_ambient(sim_);
     ExecOutcome er;
     trace_.clear();
     queue_.clear();
@@ -369,15 +371,13 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
         // cancelled context abandons the operation gracefully (ok=false,
         // message says why) instead of burning further guard retries.
         {
-            const spice::SimContext& hctx =
-                sim_ != nullptr ? *sim_ : spice::ambient_context();
-            const spice::SolveErrorCode status = hctx.poll_cancellation();
+            const spice::SolveErrorCode status = ctx.poll_cancellation();
             if (status != spice::SolveErrorCode::kNone) {
-                ++hctx.stats().cancelled_solves;
+                ++ctx.stats().cancelled_solves;
                 er.message =
                     std::string("mixed-array operation abandoned: ") +
                     spice::to_string(status);
-                drain_events();
+                drain_events(ctx);
                 return er;
             }
         }
@@ -389,7 +389,7 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
         stats_.last_active_unknowns = unknowns;
         stats_.max_active_unknowns =
             std::max(stats_.max_active_unknowns, unknowns);
-        spice::solver_stats().hier_active_unknowns = unknowns;
+        ctx.stats().hier_active_unknowns = unknowns;
 
         if (!program_loads(*part, plan, ops, value, &er.message))
             return er;
@@ -415,8 +415,8 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
                          p.reason});
         }
 
-        if (!solve_partition_dc(*part, &er.message)) {
-            drain_events();
+        if (!solve_partition_dc(ctx, *part, &er.message)) {
+            drain_events(ctx);
             return er;
         }
 
@@ -425,11 +425,11 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
         std::vector<bool> attempt_monitor =
             guarded ? monitor : std::vector<bool>(config_.cols, false);
         const AttemptOutcome out =
-            run_attempt(*part, t_end, attempt_monitor);
+            run_attempt(ctx, *part, t_end, attempt_monitor);
 
         if (!out.completed && !out.guard_tripped) {
             er.message = out.message;
-            drain_events();
+            drain_events(ctx);
             return er;
         }
         if (out.guard_tripped) {
@@ -438,7 +438,7 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
                              p.ref.row, p.ref.col, p.reason});
             queue_.push({out.guard_time, 0, EventKind::kGuardTrip, 0,
                          out.guard_col, PromoteReason::kGuardBand});
-            drain_events();
+            drain_events(ctx);
             // More sentinels on the offending column; when the column is
             // already fully promoted, stop guarding it instead.
             if (partitioner_.refine(plan, out.guard_col) == 0)
@@ -449,7 +449,7 @@ MixedArray::ExecOutcome MixedArray::execute(PartitionPlan& plan, bool value) {
         for (const PromotedCell& p : plan.promoted)
             queue_.push({t_end, 0, EventKind::kDemote, p.ref.row, p.ref.col,
                          p.reason});
-        drain_events();
+        drain_events(ctx);
         relatch(*part);
         last_partition_ = std::move(part);
         ++stats_.operations;
@@ -466,7 +466,6 @@ array::OpResult MixedArray::write(std::size_t row, std::size_t col,
     TFET_EXPECTS(initialized_);
     TFET_EXPECTS(row < config_.rows && col < config_.cols);
     array::OpResult res;
-    const spice::ScopedContext bind(sim_);
     PartitionPlan plan = partitioner_.plan_write(row, col);
     const ExecOutcome er = execute(plan, value);
     if (!er.completed) {
@@ -484,7 +483,6 @@ array::ReadResult MixedArray::read(std::size_t row, std::size_t col) {
     TFET_EXPECTS(initialized_);
     TFET_EXPECTS(row < config_.rows && col < config_.cols);
     array::ReadResult res;
-    const spice::ScopedContext bind(sim_);
     PartitionPlan plan = partitioner_.plan_read(row, col);
     const ExecOutcome er = execute(plan, /*value=*/false);
     if (!er.completed) {

@@ -168,16 +168,19 @@ private:
     /// whole array.
     void program(Partition& part, const PartitionPlan& plan,
                  const array::AccessPrograms& ops) const;
-    [[nodiscard]] bool solve_partition_dc(Partition& part,
+    [[nodiscard]] bool solve_partition_dc(const spice::SimContext& ctx,
+                                          Partition& part,
                                           std::string* message);
-    AttemptOutcome run_attempt(Partition& part, double t_end,
+    AttemptOutcome run_attempt(const spice::SimContext& ctx, Partition& part,
+                               double t_end,
                                const std::vector<bool>& monitor_col);
     /// Guard-retry loop shared by write() and read(): builds, solves, and
     /// (on guard trips) refines + re-runs, leaving last_partition_ settled
     /// and the latched store updated on success.
     ExecOutcome execute(PartitionPlan& plan, bool value);
-    /// Drain this attempt's queued events into the trace and counters.
-    void drain_events();
+    /// Drain this attempt's queued events into the trace and into ctx's
+    /// counters.
+    void drain_events(const spice::SimContext& ctx);
     /// Copy the settled partition voltages back into the latched store.
     void relatch(const Partition& part);
 

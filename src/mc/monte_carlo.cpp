@@ -145,7 +145,8 @@ la::Vector nominal_hold_seed(const spice::SimContext& ctx,
                              const sram::CellConfig& base_config) {
     sram::SramCell nominal = sram::build_cell(base_config, &ctx);
     sram::program_hold(nominal);
-    spice::DcResult d = spice::solve_dc(nominal.circuit, ctx, 0.0);
+    spice::DcResult d =
+        spice::solve_dc(nominal.circuit, ctx, spice::SolverOptions{});
     if (d.converged)
         return std::move(d.x);
     return {};

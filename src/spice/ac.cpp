@@ -89,7 +89,8 @@ bool complex_solve(std::vector<Complex>& a, std::vector<Complex>& b,
 } // namespace
 
 AcResult solve_ac(Circuit& circuit, const SimContext& ctx,
-                  const AcStimulus& stimulus, double f_start, double f_stop,
+                  const SolverOptions& opts, const AcStimulus& stimulus,
+                  double f_start, double f_stop,
                   std::size_t points_per_decade, const la::Vector* dc_guess) {
     AcResult result;
     TFET_EXPECTS(stimulus.source != nullptr);
@@ -97,9 +98,8 @@ AcResult solve_ac(Circuit& circuit, const SimContext& ctx,
     TFET_EXPECTS(points_per_decade >= 1);
 
     const ScopedContext bind(ctx);
-    const SolverOptions& opts = ctx.options();
     circuit.prepare();
-    DcResult dc = solve_dc(circuit, ctx, 0.0, dc_guess);
+    DcResult dc = solve_dc(circuit, ctx, opts, 0.0, dc_guess);
     if (!dc.converged) {
         if (dc.error.has_value()) {
             result.error = std::move(dc.error);
@@ -181,18 +181,6 @@ AcResult solve_ac(Circuit& circuit, const SimContext& ctx,
     }
     result.ok = true;
     return result;
-}
-
-AcResult solve_ac(Circuit& circuit, const SolverOptions& opts,
-                  const AcStimulus& stimulus, double f_start, double f_stop,
-                  std::size_t points_per_decade, const la::Vector* dc_guess) {
-    const SimContext& ambient = ambient_context();
-    if (&opts == &ambient.options())
-        return solve_ac(circuit, ambient, stimulus, f_start, f_stop,
-                        points_per_decade, dc_guess);
-    const SimContext view = ambient.with_options(opts);
-    return solve_ac(circuit, view, stimulus, f_start, f_stop,
-                    points_per_decade, dc_guess);
 }
 
 } // namespace tfetsram::spice

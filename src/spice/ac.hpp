@@ -55,16 +55,12 @@ private:
 /// Run an AC sweep over logarithmically spaced frequencies
 /// [f_start, f_stop] with `points_per_decade` resolution, under `ctx`
 /// (bound as the thread's ambient context for the duration). The
-/// operating point is solved internally (optionally seeded by `dc_guess`).
+/// operating point is solved internally to the tolerances `opts`
+/// (optionally seeded by `dc_guess`), and `opts.gmin` shunts the
+/// linearization.
 AcResult solve_ac(Circuit& circuit, const SimContext& ctx,
-                  const AcStimulus& stimulus, double f_start, double f_stop,
-                  std::size_t points_per_decade = 10,
-                  const la::Vector* dc_guess = nullptr);
-
-/// Compatibility entry: sweep under the ambient context with `opts`
-/// layered over its options.
-AcResult solve_ac(Circuit& circuit, const SolverOptions& opts,
-                  const AcStimulus& stimulus, double f_start, double f_stop,
+                  const SolverOptions& opts, const AcStimulus& stimulus,
+                  double f_start, double f_stop,
                   std::size_t points_per_decade = 10,
                   const la::Vector* dc_guess = nullptr);
 

@@ -17,8 +17,8 @@ namespace tfetsram::spice {
 /// cancel() is safe from any thread (and, being a plain atomic store,
 /// from a signal handler); cancelled()/progress() are safe concurrent
 /// reads. Sharing is by std::shared_ptr via SimConfig::cancel — a parent
-/// context, its with_options() views, and its child() fan-out all see the
-/// same token, so one cancel() stops the whole task tree.
+/// context and its child() fan-out all see the same token, so one cancel()
+/// stops the whole task tree.
 class CancelToken {
 public:
     /// Request cancellation. Sticky: there is no un-cancel except an

@@ -36,8 +36,7 @@ SimConfig SimConfig::from_env(const env::EnvSnapshot& snap) {
     return cfg;
 }
 
-SimContext::SimContext(SimConfig config)
-    : config_(std::move(config)), stats_sink_(&stats_) {
+SimContext::SimContext(SimConfig config) : config_(std::move(config)) {
     if (!config_.fault_spec.empty())
         fault_ = std::make_shared<fault::FaultState>(config_.fault_spec);
     if (config_.deadline_s > 0) {
@@ -51,22 +50,7 @@ SimContext::SimContext(SimConfig config)
 
 SimContext::~SimContext() = default;
 
-SimContext::SimContext(SimContext&& other) noexcept
-    : config_(std::move(other.config_)), stats_(other.stats_),
-      // A moved context that owned its sink keeps owning it; a view keeps
-      // aliasing its parent.
-      stats_sink_(other.stats_sink_ == &other.stats_ ? &stats_
-                                                     : other.stats_sink_),
-      fault_(std::move(other.fault_)), has_deadline_(other.has_deadline_),
-      deadline_at_(other.deadline_at_) {}
-
-SimContext::SimContext(ViewTag, const SimContext& parent,
-                       const SolverOptions& opts)
-    : config_(parent.config_), stats_sink_(parent.stats_sink_),
-      fault_(parent.fault_), has_deadline_(parent.has_deadline_),
-      deadline_at_(parent.deadline_at_) {
-    config_.options = opts;
-}
+SimContext::SimContext(SimContext&&) noexcept = default;
 
 SolverKind SimContext::select_kind(std::size_t num_unknowns) const {
     return apply_solver_mode(config_.mode, num_unknowns);
@@ -89,10 +73,6 @@ SimContext SimContext::child(std::uint64_t stream) const {
     return ctx;
 }
 
-SimContext SimContext::with_options(const SolverOptions& opts) const {
-    return SimContext(ViewTag{}, *this, opts);
-}
-
 bool SimContext::should_fail(fault::Site site) const {
     if (fault_)
         return fault_->should_fail(site);
@@ -100,7 +80,7 @@ bool SimContext::should_fail(fault::Site site) const {
 }
 
 SolveErrorCode SimContext::poll_cancellation() const {
-    ++stats_sink_->deadline_polls;
+    ++stats_.deadline_polls;
     if (config_.cancel) {
         if (config_.cancel->cancelled())
             return SolveErrorCode::kCancelled;
@@ -109,7 +89,7 @@ SolveErrorCode SimContext::poll_cancellation() const {
     if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_at_)
         return SolveErrorCode::kDeadlineExceeded;
     if (config_.iteration_budget != 0 &&
-        stats_sink_->nr_iterations >= config_.iteration_budget)
+        stats_.nr_iterations >= config_.iteration_budget)
         return SolveErrorCode::kDeadlineExceeded;
     return SolveErrorCode::kNone;
 }
@@ -120,7 +100,7 @@ SolveErrorCode SimContext::cancellation_status() const {
     if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_at_)
         return SolveErrorCode::kDeadlineExceeded;
     if (config_.iteration_budget != 0 &&
-        stats_sink_->nr_iterations >= config_.iteration_budget)
+        stats_.nr_iterations >= config_.iteration_budget)
         return SolveErrorCode::kDeadlineExceeded;
     return SolveErrorCode::kNone;
 }
@@ -136,20 +116,10 @@ const SimContext& ambient_context() {
     return default_ctx;
 }
 
-ScopedContext::ScopedContext(const SimContext& ctx)
-    : previous_(t_bound), active_(true) {
+ScopedContext::ScopedContext(const SimContext& ctx) : previous_(t_bound) {
     t_bound = &ctx;
 }
 
-ScopedContext::ScopedContext(const SimContext* ctx)
-    : previous_(t_bound), active_(ctx != nullptr) {
-    if (active_)
-        t_bound = ctx;
-}
-
-ScopedContext::~ScopedContext() {
-    if (active_)
-        t_bound = previous_;
-}
+ScopedContext::~ScopedContext() { t_bound = previous_; }
 
 } // namespace tfetsram::spice

@@ -1,29 +1,29 @@
 #pragma once
 // SimContext: the explicit, immutable-after-construction simulation
-// context threaded through solver → cell → array → MC → runner. A solve's
-// behaviour depends only on its context and its inputs; the context owns
+// context threaded through solver → cell → array → MC → runner. It holds
+// solve *policy*; the tolerance set (SolverOptions) is a separate,
+// explicit argument of every solve. A context owns
 //
-//  * the effective SolverOptions,
 //  * the solver-mode policy (SimConfig::mode; TFETSRAM_SOLVER reaches it
 //    only through SimConfig::from_env, so concurrent dense-vs-sparse A/B
 //    tasks are safe),
 //  * the RNG seed root plus deterministic derived seeds for child work,
 //  * an optional private fault-injection plan,
-//  * the output directory,
+//  * the output directory, the deadline and the cancel token,
 //  * a per-context SolverStats sink, so work fanned out to inner pools is
 //    attributed to the context, not to whichever thread happened to run it.
 //
-// Contexts compose two ways: child(stream) derives an independent context
+// Contexts compose one way: child(stream) derives an independent context
 // (own stats, derived seed) for fan-out work whose counters the parent
-// aggregates afterwards, and with_options(opts) makes a cheap view that
-// shares the parent's stats sink while swapping the tolerance set — the
-// compatibility shim behind every legacy SolverOptions call site.
+// aggregates afterwards.
 //
 // Threading model: a context is bound to a thread with ScopedContext;
 // ambient_context() returns the innermost binding, falling back to a
 // per-thread default context built once from the process env snapshot.
-// The legacy entry points (solve_dc(circuit, opts), solver_stats()) all
-// delegate to the ambient context. See docs/ARCHITECTURE.md.
+// Every solve binds its context for its duration, so the counters bumped
+// inside assembly (solver_stats()) reach it. Library entry points that
+// carry an optional context resolve it once with context_or_ambient().
+// See docs/ARCHITECTURE.md.
 
 #include <chrono>
 #include <cstddef>
@@ -34,7 +34,6 @@
 
 #include "spice/cancel.hpp"
 #include "spice/solve_error.hpp"
-#include "spice/solver_options.hpp"
 #include "spice/solver_select.hpp"
 #include "spice/stats.hpp"
 #include "util/env.hpp"
@@ -50,7 +49,6 @@ namespace tfetsram::spice {
 /// from from_env()) and hand it to the SimContext constructor, after which
 /// it never changes.
 struct SimConfig {
-    SolverOptions options;
     /// Backend policy; kAuto routes by system size (kSparseAutoThreshold).
     SolverMode mode = SolverMode::kAuto;
     /// RNG seed root; derive_seed()/child() mix per-stream seeds from it.
@@ -65,7 +63,7 @@ struct SimConfig {
 
     // --- cancellation / graceful degradation (docs/ROBUSTNESS.md) ---
     /// Wall-clock budget in seconds, armed at SimContext construction
-    /// (TFETSRAM_TASK_TIMEOUT; 0 = unlimited). Views and children inherit
+    /// (TFETSRAM_TASK_TIMEOUT; 0 = unlimited). Children inherit
     /// the parent's absolute expiry instant, so a Monte-Carlo fan-out
     /// cannot outlive the task that spawned it. Expiry is graceful: solves
     /// return SolveErrorCode::kDeadlineExceeded with partial results.
@@ -74,8 +72,8 @@ struct SimConfig {
     /// (0 = unlimited). Unlike the wall clock, this expires at exactly the
     /// same poll on every rerun — what the deadline tests pin counters on.
     std::uint64_t iteration_budget = 0;
-    /// Cooperative cancel/heartbeat token. Shared (not copied) by views
-    /// and children; null means "not cancellable" and polls cost only a
+    /// Cooperative cancel/heartbeat token. Shared (not copied) by
+    /// children; null means "not cancellable" and polls cost only a
     /// counter increment. The runner installs one per task attempt so its
     /// watchdog can cancel stalled work from outside.
     std::shared_ptr<CancelToken> cancel;
@@ -88,9 +86,8 @@ struct SimConfig {
 
 class SimContext {
 public:
-    /// Deliberately explicit and not default-constructible: `solve_dc(ckt,
-    /// {})` must keep meaning "default SolverOptions", never silently
-    /// become a context overload.
+    /// Explicit and not default-constructible: a context is always built
+    /// from a SimConfig the caller chose (or from_env()).
     explicit SimContext(SimConfig config);
     ~SimContext();
 
@@ -100,14 +97,10 @@ public:
     SimContext& operator=(SimContext&&) = delete;
 
     [[nodiscard]] const SimConfig& config() const { return config_; }
-    [[nodiscard]] const SolverOptions& options() const {
-        return config_.options;
-    }
     [[nodiscard]] std::uint64_t seed() const { return config_.seed; }
 
-    /// This context's counter sink. Owned by the context, except for
-    /// with_options() views, which write into their parent's sink.
-    [[nodiscard]] SolverStats& stats() const { return *stats_sink_; }
+    /// This context's counter sink, owned by the context.
+    [[nodiscard]] SolverStats& stats() const { return stats_; }
 
     /// Resolve the linear backend for a system of `num_unknowns` under the
     /// context's mode.
@@ -119,15 +112,10 @@ public:
     [[nodiscard]] std::uint64_t derive_seed(std::uint64_t stream) const;
 
     /// Independent child for fan-out work (one per MC sample): same
-    /// options/mode/out_dir, seed derived from `stream`, shared fault plan,
+    /// mode/out_dir, seed derived from `stream`, shared fault plan,
     /// and its own zeroed stats — the parent aggregates children in
     /// deterministic order once the fan-out joins (stats() += child.stats()).
     [[nodiscard]] SimContext child(std::uint64_t stream) const;
-
-    /// View with a replacement tolerance set: shares this context's stats
-    /// sink and fault plan. The bridge under every legacy
-    /// solve_*(circuit, SolverOptions) call.
-    [[nodiscard]] SimContext with_options(const SolverOptions& options) const;
 
     /// Fault hook: the private plan when this context has one, else the
     /// process-wide injector.
@@ -153,15 +141,11 @@ public:
     }
 
 private:
-    struct ViewTag {};
-    SimContext(ViewTag, const SimContext& parent, const SolverOptions& opts);
-
     SimConfig config_;
     mutable SolverStats stats_;
-    SolverStats* stats_sink_ = nullptr;
     std::shared_ptr<fault::FaultState> fault_;
     /// Absolute expiry instant, armed once at construction from
-    /// config_.deadline_s; children and views copy the parent's instant so
+    /// config_.deadline_s; children copy the parent's instant so
     /// the whole task tree expires together.
     bool has_deadline_ = false;
     std::chrono::steady_clock::time_point deadline_at_{};
@@ -172,22 +156,25 @@ private:
 /// env::EnvSnapshot::process().
 const SimContext& ambient_context();
 
-/// RAII thread binding. Every context-taking solver entry binds itself on
-/// entry so nested legacy calls (and the assembly counters inside the
-/// Newton loop) resolve to the right context.
+/// `*sim` when non-null, else ambient_context(): how an entry point with an
+/// optional context (SramCell::sim, SramArray's, MixedArray's) resolves
+/// the one context all of its solves run under.
+inline const SimContext& context_or_ambient(const SimContext* sim) {
+    return sim != nullptr ? *sim : ambient_context();
+}
+
+/// RAII thread binding. Every solve binds its context on entry so the
+/// assembly counters inside the Newton loop (solver_stats()) resolve to
+/// it; the runner binds each task's context around the task body.
 class ScopedContext {
 public:
     explicit ScopedContext(const SimContext& ctx);
-    /// nullptr is a no-op binding — callers with an optional context
-    /// (e.g. SramCell::sim) bind unconditionally.
-    explicit ScopedContext(const SimContext* ctx);
     ~ScopedContext();
     ScopedContext(const ScopedContext&) = delete;
     ScopedContext& operator=(const ScopedContext&) = delete;
 
 private:
     const SimContext* previous_;
-    bool active_;
 };
 
 } // namespace tfetsram::spice

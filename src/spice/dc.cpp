@@ -153,9 +153,8 @@ double assemble_residual_norm(Circuit& circuit, const AnalysisState& as,
 /// line search, the residual norm and the convergence test, still covers
 /// every unknown and equals the full-system solve up to rounding.
 int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
-                        const SimContext& ctx, double gmin, la::Vector& x,
-                        double* final_residual) {
-    const SolverOptions& opts = ctx.options();
+                        const SimContext& ctx, const SolverOptions& opts,
+                        double gmin, la::Vector& x, double* final_residual) {
     SolverStats& stats = ctx.stats();
     const std::size_t n = circuit.num_unknowns();
     const std::size_t n_node_unknowns = circuit.num_nodes() - 1;
@@ -309,15 +308,15 @@ int newton_raphson_core(Circuit& circuit, const AnalysisState& as,
 } // namespace
 
 int newton_raphson(Circuit& circuit, const AnalysisState& as,
-                   const SimContext& ctx, double gmin, la::Vector& x,
-                   double* final_residual) {
+                   const SimContext& ctx, const SolverOptions& opts,
+                   double gmin, la::Vector& x, double* final_residual) {
     if (ctx.should_fail(fault::Site::kNewton)) {
         if (final_residual != nullptr)
             *final_residual = std::numeric_limits<double>::quiet_NaN();
         return -1;
     }
     const int iters =
-        newton_raphson_core(circuit, as, ctx, gmin, x, final_residual);
+        newton_raphson_core(circuit, as, ctx, opts, gmin, x, final_residual);
     ctx.stats().nr_iterations += static_cast<std::uint64_t>(std::abs(iters));
     return iters;
 }
@@ -353,12 +352,12 @@ DcResult make_cancelled_dc(const SimContext& ctx, SolveErrorCode code,
 
 } // namespace
 
-DcResult solve_dc(Circuit& circuit, const SimContext& ctx, double time,
+DcResult solve_dc(Circuit& circuit, const SimContext& ctx,
+                  const SolverOptions& opts, double time,
                   const la::Vector* initial_guess) {
-    // Bind the context so nested work (MNA assembly counters, legacy
-    // helpers called from device callbacks) attributes here too.
+    // Bind the context so nested work (the MNA assembly counters)
+    // attributes here too.
     const ScopedContext bind(ctx);
-    const SolverOptions& opts = ctx.options();
     ++ctx.stats().dc_solves;
     circuit.prepare();
     const std::size_t n = circuit.num_unknowns();
@@ -418,8 +417,8 @@ DcResult solve_dc(Circuit& circuit, const SimContext& ctx, double time,
         StrategyAttempt attempt;
         attempt.name = "newton";
         la::Vector x = result.x;
-        const int iters = detail::newton_raphson(circuit, as, ctx, opts.gmin,
-                                                 x, &attempt.residual);
+        const int iters = detail::newton_raphson(
+            circuit, as, ctx, opts, opts.gmin, x, &attempt.residual);
         attempt.iterations = std::abs(iters);
         attempt.converged = iters > 0;
         result.iterations += attempt.iterations;
@@ -462,8 +461,8 @@ DcResult solve_dc(Circuit& circuit, const SimContext& ctx, double time,
             const bool final_stage = g <= opts.gmin * (1.0 + 1e-9) ||
                                      g <= 1e-14 || stage >= kMaxGminStages;
             const double g_eff = final_stage ? opts.gmin : g;
-            const int iters = detail::newton_raphson(circuit, as, ctx, g_eff,
-                                                     x, &attempt.residual);
+            const int iters = detail::newton_raphson(
+                circuit, as, ctx, opts, g_eff, x, &attempt.residual);
             attempt.iterations += std::abs(iters);
             ok = iters > 0;
             if (!ok || final_stage)
@@ -499,7 +498,7 @@ DcResult solve_dc(Circuit& circuit, const SimContext& ctx, double time,
             AnalysisState ramped = as;
             ramped.source_scale = std::min(lambda, 1.0);
             const int iters = detail::newton_raphson(
-                circuit, ramped, ctx, opts.gmin, x, &attempt.residual);
+                circuit, ramped, ctx, opts, opts.gmin, x, &attempt.residual);
             attempt.iterations += std::abs(iters);
             if (iters < 0) {
                 ok = false;
@@ -537,15 +536,6 @@ DcResult solve_dc(Circuit& circuit, const SimContext& ctx, double time,
     err.last_iterate = std::move(last_x);
     result.error = std::move(err);
     return result;
-}
-
-DcResult solve_dc(Circuit& circuit, const SolverOptions& opts, double time,
-                  const la::Vector* initial_guess) {
-    const SimContext& ambient = ambient_context();
-    if (&opts == &ambient.options())
-        return solve_dc(circuit, ambient, time, initial_guess);
-    const SimContext view = ambient.with_options(opts);
-    return solve_dc(circuit, view, time, initial_guess);
 }
 
 } // namespace tfetsram::spice

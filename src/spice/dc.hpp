@@ -23,32 +23,28 @@ struct DcResult {
     std::optional<SolveError> error;       ///< populated iff !converged
 };
 
-/// Solve the operating point under `ctx` (its options, backend policy,
-/// stats sink, and fault plan) with sources evaluated at `time`. If
-/// `initial_guess` is provided (and correctly sized) Newton starts there.
-/// Binds `ctx` as this thread's ambient context for the duration.
-DcResult solve_dc(Circuit& circuit, const SimContext& ctx, double time = 0.0,
-                  const la::Vector* initial_guess = nullptr);
-
-/// Compatibility entry: solve under the ambient context with `opts`
-/// layered over its options (same stats sink and backend policy).
-DcResult solve_dc(Circuit& circuit, const SolverOptions& opts,
-                  double time = 0.0,
+/// Solve the operating point to the tolerances `opts` under `ctx` (its
+/// backend policy, stats sink, fault plan and deadline) with sources
+/// evaluated at `time`. If `initial_guess` is provided (and correctly
+/// sized) Newton starts there. Binds `ctx` as this thread's ambient
+/// context for the duration.
+DcResult solve_dc(Circuit& circuit, const SimContext& ctx,
+                  const SolverOptions& opts, double time = 0.0,
                   const la::Vector* initial_guess = nullptr);
 
 namespace detail {
-/// Single damped-Newton solve at fixed gmin/source scale, using ctx's
-/// options/backend/stats. On success, x holds the solution; on failure x
-/// is left at the last iterate. Returns iterations used (negative if not
-/// converged). If `final_residual` is non-null it receives the true KCL
-/// residual norm at the last assembled iterate — for a converged solve
-/// that is the iterate the accepting Newton update stepped from, a
-/// diagnostic bound on (not a re-evaluation at) the returned solution;
-/// NaN when the solve was aborted by an injected fault. Reusing the
-/// loop's own residual keeps the converged path free of a final
-/// re-assembly.
+/// Single damped-Newton solve at fixed gmin/source scale to the tolerances
+/// `opts`, using ctx's backend/stats. On success, x holds the solution; on
+/// failure x is left at the last iterate. Returns iterations used (negative
+/// if not converged). If `final_residual` is non-null it receives the true
+/// KCL residual norm at the last assembled iterate — for a converged solve
+/// that is the iterate the accepting Newton update stepped from, a diagnostic
+/// bound on (not a re-evaluation at) the returned solution; NaN when the
+/// solve was aborted by an injected fault. Reusing the loop's own residual
+/// keeps the converged path free of a final re-assembly.
 int newton_raphson(Circuit& circuit, const AnalysisState& as,
-                   const SimContext& ctx, double gmin, la::Vector& x,
+                   const SimContext& ctx, const SolverOptions& opts,
+                   double gmin, la::Vector& x,
                    double* final_residual = nullptr);
 } // namespace detail
 

@@ -31,10 +31,8 @@ inline SolverInfo probe_solver_info(Circuit& circuit, const SimContext* sim) {
     SolverInfo info;
     info.unknowns = circuit.num_unknowns();
     const SolveWorkspace& w = circuit.workspace();
-    info.kind = w.kind.value_or(sim != nullptr
-                                    ? sim->select_kind(info.unknowns)
-                                    : ambient_context().select_kind(
-                                          info.unknowns));
+    info.kind = w.kind.value_or(
+        context_or_ambient(sim).select_kind(info.unknowns));
     if (info.kind == SolverKind::kSparse && w.sjac.finalized()) {
         info.pattern_nnz = w.sjac.nnz();
         info.lu_nnz = w.slu.analyzed() ? w.slu.lu_nnz() : 0;

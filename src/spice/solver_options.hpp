@@ -29,4 +29,11 @@ struct SolverOptions {
                            const SolverOptions&) = default;
 };
 
+/// dv_limit [V] of the basin-crawl retry. A bistable circuit's DC solve
+/// from a guess that forces its stored state can wander out of that basin
+/// (or fail); the cell, array and mixed-level engines then re-solve from
+/// the same guess with the caller's options and this update limit, whose
+/// small steps stay inside the basin.
+inline constexpr double kCrawlDvLimit = 0.05;
+
 } // namespace tfetsram::spice

@@ -186,10 +186,11 @@ std::size_t TransientTape::resume_point(const Circuit& circuit,
 /// t = 0 operating point or a tape's recorded step), and the stepping loop.
 class TransientRun {
 public:
-    TransientRun(Circuit& circuit, const SimContext& ctx, double t_end,
+    TransientRun(Circuit& circuit, const SimContext& ctx,
+                 const SolverOptions& opts, double t_end,
                  const StopCondition& stop, const la::Vector* dc_guess,
                  TransientTape* tape)
-        : circuit_(circuit), ctx_(ctx), opts_(ctx.options()), t_end_(t_end),
+        : circuit_(circuit), ctx_(ctx), opts_(opts), t_end_(t_end),
           stop_(stop), dc_guess_(dc_guess),
           record_(tape != nullptr && tape->empty() ? tape : nullptr),
           resume_(tape != nullptr && !tape->empty() ? tape : nullptr) {}
@@ -209,7 +210,7 @@ private:
     /// Solve the t = 0 operating point and start stepping from it. False
     /// (with the failure in result_) when it does not converge.
     bool start_at_operating_point() {
-        DcResult dc = solve_dc(circuit_, ctx_, 0.0, dc_guess_);
+        DcResult dc = solve_dc(circuit_, ctx_, opts_, 0.0, dc_guess_);
         if (!dc.converged) {
             result_.message = "transient: t=0 operating point did not converge";
             result_.time_reached = 0.0;
@@ -379,8 +380,8 @@ private:
                 // source edges.
                 as.first_transient_step = force_be_ || attempt >= 2;
                 x_new = x_; // warm start from the current state
-                const int iters = detail::newton_raphson(circuit_, as, ctx_,
-                                                         opts_.gmin, x_new);
+                const int iters = detail::newton_raphson(
+                    circuit_, as, ctx_, opts_, opts_.gmin, x_new);
                 if (iters > 0) {
                     solved = true;
                     break;
@@ -501,24 +502,14 @@ private:
 };
 
 TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
-                                double t_end, const StopCondition& stop,
+                                const SolverOptions& opts, double t_end,
+                                const StopCondition& stop,
                                 const la::Vector* dc_guess,
                                 TransientTape* tape) {
     TFET_EXPECTS(t_end > 0.0);
     const ScopedContext bind(ctx);
-    return TransientRun(circuit, ctx, t_end, stop, dc_guess, tape).run();
-}
-
-TransientResult solve_transient(Circuit& circuit, const SolverOptions& opts,
-                                double t_end, const StopCondition& stop,
-                                const la::Vector* dc_guess,
-                                TransientTape* tape) {
-    const SimContext& ambient = ambient_context();
-    if (&opts == &ambient.options())
-        return solve_transient(circuit, ambient, t_end, stop, dc_guess, tape);
-    // One view for the whole run: every step's Newton work shares it.
-    const SimContext view = ambient.with_options(opts);
-    return solve_transient(circuit, view, t_end, stop, dc_guess, tape);
+    return TransientRun(circuit, ctx, opts, t_end, stop, dc_guess, tape)
+        .run();
 }
 
 } // namespace tfetsram::spice

@@ -151,23 +151,16 @@ private:
     TransientResult trajectory_;
 };
 
-/// Run a transient to t_end under `ctx` (options, backend policy, stats,
-/// faults; bound as this thread's ambient context for the duration). The
+/// Run a transient to t_end with tolerances and step bounds `opts`, under
+/// `ctx` (backend policy, stats, faults, deadline; bound as this thread's
+/// ambient context for the duration). The
 /// circuit's sources define the stimulus. `stop` (optional) ends the run
 /// early when it returns true. `dc_guess` (optional) seeds the t=0
 /// operating point — essential for bistable circuits, where it selects
 /// which stable state the cell starts in. `tape` (optional) records the
 /// run when empty and resumes it when filled (see TransientTape).
 TransientResult solve_transient(Circuit& circuit, const SimContext& ctx,
-                                double t_end,
-                                const StopCondition& stop = nullptr,
-                                const la::Vector* dc_guess = nullptr,
-                                TransientTape* tape = nullptr);
-
-/// Compatibility entry: run under the ambient context with `opts` layered
-/// over its options.
-TransientResult solve_transient(Circuit& circuit, const SolverOptions& opts,
-                                double t_end,
+                                const SolverOptions& opts, double t_end,
                                 const StopCondition& stop = nullptr,
                                 const la::Vector* dc_guess = nullptr,
                                 TransientTape* tape = nullptr);

@@ -112,9 +112,9 @@ struct SramCell {
 
     /// Simulation context this cell's operations run under (non-owning;
     /// nullptr defers to the caller's ambient context). The operation and
-    /// metric entry points bind it for the duration of their solves, so a
-    /// cell built under an explicit context stays attributed to it even
-    /// when evaluated from another thread.
+    /// metric entry points pass it to each of their solves, so a cell
+    /// built under an explicit context stays attributed to it even when
+    /// evaluated from another thread.
     const spice::SimContext* sim = nullptr;
 
     /// Wordline levels implied by the access-device polarity.

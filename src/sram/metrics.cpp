@@ -44,7 +44,7 @@ double worst_hold_static_power(SramCell& cell, const MetricOptions& opts) {
 
 DrnmResult dynamic_read_noise_margin(SramCell& cell, Assist assist,
                                      const MetricOptions& opts) {
-    const spice::ScopedContext bind(cell.sim);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     DrnmResult res;
     const ReadSetup setup = program_read(cell, opts.read_duration, assist,
                                          opts.assist_fraction, opts.timing,
@@ -55,7 +55,7 @@ DrnmResult dynamic_read_noise_margin(SramCell& cell, Assist assist,
         return res;
 
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, setup.window.t_end, nullptr, &hs.x);
+        cell.circuit, ctx, opts.solver, setup.window.t_end, nullptr, &hs.x);
     if (!tr.completed)
         return res;
 
@@ -76,7 +76,7 @@ DrnmResult dynamic_read_noise_margin(SramCell& cell, Assist assist,
 
 WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
                            const MetricOptions& opts, WriteBisection* shared) {
-    const spice::ScopedContext bind(cell.sim);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     WriteOutcome out;
     const bool value = preferred_write_value(cell);
     const OperationWindow w = program_write(cell, value, pulse_width, assist,
@@ -113,7 +113,7 @@ WriteOutcome attempt_write(SramCell& cell, double pulse_width, Assist assist,
     };
 
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, w.t_end, stop, &hs->x,
+        cell.circuit, ctx, opts.solver, w.t_end, stop, &hs->x,
         shared != nullptr ? &shared->tape : nullptr);
     if (!tr.completed)
         return out;
@@ -165,7 +165,7 @@ double critical_wordline_pulse(SramCell& cell, Assist assist,
 }
 
 double write_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
-    const spice::ScopedContext bind(cell.sim);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     const bool value = preferred_write_value(cell);
     const OperationWindow w =
         program_write(cell, value, opts.write_probe_pulse, assist,
@@ -175,7 +175,7 @@ double write_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
         return kNaN;
 
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, w.t_end, nullptr, &hs.x);
+        cell.circuit, ctx, opts.solver, w.t_end, nullptr, &hs.x);
     if (!tr.completed)
         return kNaN;
 
@@ -190,7 +190,7 @@ double write_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
 }
 
 double read_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
-    const spice::ScopedContext bind(cell.sim);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     const ReadSetup setup = program_read(cell, opts.read_duration, assist,
                                          opts.assist_fraction, opts.timing,
                                          /*float_bitlines=*/true);
@@ -207,7 +207,7 @@ double read_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
     };
 
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, setup.window.t_end, stop, &hs.x);
+        cell.circuit, ctx, opts.solver, setup.window.t_end, stop, &hs.x);
     if (!tr.completed)
         return kNaN;
 
@@ -220,7 +220,7 @@ double read_delay(SramCell& cell, Assist assist, const MetricOptions& opts) {
 
 double write_energy(SramCell& cell, double pulse_width, Assist assist,
                     const MetricOptions& opts) {
-    const spice::ScopedContext bind(cell.sim);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     const bool value = preferred_write_value(cell);
     const OperationWindow w = program_write(cell, value, pulse_width, assist,
                                             opts.assist_fraction, opts.timing);
@@ -228,14 +228,14 @@ double write_energy(SramCell& cell, double pulse_width, Assist assist,
     if (!hs.converged || !hs.state_ok)
         return kNaN;
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, w.t_end, nullptr, &hs.x);
+        cell.circuit, ctx, opts.solver, w.t_end, nullptr, &hs.x);
     if (!tr.completed)
         return kNaN;
     return spice::source_energy(cell.circuit, tr, 0.0, w.t_end);
 }
 
 double read_energy(SramCell& cell, Assist assist, const MetricOptions& opts) {
-    const spice::ScopedContext bind(cell.sim);
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     const ReadSetup setup = program_read(cell, opts.read_duration, assist,
                                          opts.assist_fraction, opts.timing,
                                          /*float_bitlines=*/false);
@@ -243,7 +243,7 @@ double read_energy(SramCell& cell, Assist assist, const MetricOptions& opts) {
     if (!hs.converged || !hs.state_ok)
         return kNaN;
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, opts.solver, setup.window.t_end, nullptr, &hs.x);
+        cell.circuit, ctx, opts.solver, setup.window.t_end, nullptr, &hs.x);
     if (!tr.completed)
         return kNaN;
     return spice::source_energy(cell.circuit, tr, 0.0, setup.window.t_end);

@@ -19,6 +19,8 @@ namespace tfetsram::sram {
 
 /// Numerical and measurement knobs shared by the metrics.
 struct MetricOptions {
+    /// The tolerance set of every solve a metric makes; the cell's context
+    /// supplies only policy (backend, stats, faults, deadline).
     spice::SolverOptions solver;
     OperationTiming timing;
     double assist_fraction = kDefaultAssistFraction;

@@ -262,9 +262,9 @@ ReadSetup program_read(SramCell& cell, double read_duration, Assist assist,
 HoldState solve_hold_state(SramCell& cell, bool q_high,
                            const spice::SolverOptions& opts,
                            la::Vector* cold_guess) {
-    // A cell pinned to an explicit context runs under it (no-op when the
-    // cell carries none — the caller's ambient context then applies).
-    const spice::ScopedContext bind(cell.sim);
+    // A cell pinned to an explicit context runs under it; one that carries
+    // none runs under the caller's ambient context.
+    const spice::SimContext& ctx = spice::context_or_ambient(cell.sim);
     HoldState hs;
     const double vdd = cell.config.vdd;
     const std::size_t n = cell.circuit.num_unknowns();
@@ -283,7 +283,8 @@ HoldState solve_hold_state(SramCell& cell, bool q_high,
     } else {
         const la::Vector* seed =
             cell.dc_seed.size() == n ? &cell.dc_seed : nullptr;
-        spice::DcResult d0 = spice::solve_dc(cell.circuit, opts, 0.0, seed);
+        spice::DcResult d0 =
+            spice::solve_dc(cell.circuit, ctx, opts, 0.0, seed);
         guess = d0.converged ? std::move(d0.x) : la::Vector(n, 0.0);
         if (cold_guess != nullptr)
             *cold_guess = guess;
@@ -297,7 +298,8 @@ HoldState solve_hold_state(SramCell& cell, bool q_high,
         return q_high ? diff > 0.4 * vdd : diff < -0.4 * vdd;
     };
 
-    spice::DcResult d1 = spice::solve_dc(cell.circuit, opts, 0.0, &guess);
+    spice::DcResult d1 =
+        spice::solve_dc(cell.circuit, ctx, opts, 0.0, &guess);
     hs.converged = d1.converged;
     hs.x = std::move(d1.x);
     hs.state_ok = hs.converged && check(hs.x);
@@ -307,8 +309,9 @@ HoldState solve_hold_state(SramCell& cell, bool q_high,
         // metastable saddle. Retry with a tight update limit: small steps
         // from the forced guess stay inside the basin.
         spice::SolverOptions crawl = opts;
-        crawl.dv_limit = 0.05;
-        spice::DcResult d2 = spice::solve_dc(cell.circuit, crawl, 0.0, &guess);
+        crawl.dv_limit = spice::kCrawlDvLimit;
+        spice::DcResult d2 =
+            spice::solve_dc(cell.circuit, ctx, crawl, 0.0, &guess);
         if (d2.converged && check(d2.x)) {
             hs.converged = true;
             hs.x = std::move(d2.x);

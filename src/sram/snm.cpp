@@ -28,6 +28,7 @@ bool trace_vtc(const CellConfig& config, SnmMode mode, bool force_q,
                std::size_t points, const spice::SolverOptions& opts,
                std::vector<double>& in, std::vector<double>& out) {
     SramCell cell = build_cell(config);
+    const spice::SimContext& ctx = spice::ambient_context();
     program_static_bias(cell, mode);
     const spice::NodeId forced = force_q ? cell.q : cell.qb;
     const spice::NodeId observed = force_q ? cell.qb : cell.q;
@@ -46,7 +47,7 @@ bool trace_vtc(const CellConfig& config, SnmMode mode, bool force_q,
     // walk from the last solved point with halved sub-steps.
     auto solve_at = [&](double v) {
         vforce->set_waveform(spice::Waveform::dc(v));
-        spice::DcResult r = spice::solve_dc(cell.circuit, opts, 0.0,
+        spice::DcResult r = spice::solve_dc(cell.circuit, ctx, opts, 0.0,
                                             guess.empty() ? nullptr : &guess);
         if (r.converged) {
             guess = std::move(r.x);

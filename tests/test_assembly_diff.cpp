@@ -162,7 +162,7 @@ void run_checked(sram::SramCell& cell, const la::Vector& x0, double t_end,
     Oracle oracle(cell.circuit);
     ASSERT_TRUE(oracle.check(x0, 0.0, what + " guess"));
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, ctx, t_end, oracle.every_step(what), &x0);
+        cell.circuit, ctx, {}, t_end, oracle.every_step(what), &x0);
     EXPECT_TRUE(tr.completed) << what << ": " << tr.message;
     EXPECT_GT(oracle.checks(), 3 * 10u) << what << ": too few steps checked";
 }
@@ -275,7 +275,7 @@ la::Vector hold_state(array::SramArray& arr,
             guess[c.node("qb" + cid) - 1] = data[r][col] ? 0.0 : vdd;
         }
     }
-    const spice::DcResult dc = spice::solve_dc(c, ctx, 0.0, &guess);
+    const spice::DcResult dc = spice::solve_dc(c, ctx, {}, 0.0, &guess);
     EXPECT_TRUE(dc.converged);
     return dc.x;
 }
@@ -295,7 +295,7 @@ TEST(AssemblyDiff, FlatArrayWriteTransient16x8) {
     const double t_end =
         array::write_programs(arr.config(), !data[3][2]).access.window.t_end;
     const spice::TransientResult tr = spice::solve_transient(
-        arr.circuit(), ctx, t_end, oracle.every_step("16x8 write"), &x0);
+        arr.circuit(), ctx, {}, t_end, oracle.every_step("16x8 write"), &x0);
     EXPECT_TRUE(tr.completed) << tr.message;
     EXPECT_GT(oracle.checks(), 3 * 10u);
 }
@@ -341,7 +341,7 @@ TEST(AssemblyDiff, PartitionWithLumpedBitlineLoads) {
     Oracle oracle(c);
     const double t_end = array::read_programs(arr.config()).access.window.t_end;
     const spice::TransientResult tr = spice::solve_transient(
-        c, ctx, t_end, oracle.every_step("partition read"), &x0);
+        c, ctx, {}, t_end, oracle.every_step("partition read"), &x0);
     EXPECT_TRUE(tr.completed) << tr.message;
     EXPECT_GT(oracle.checks(), 3 * 10u);
 }
@@ -372,15 +372,15 @@ TEST(AssemblyRebind, GrownCircuitAssemblesLikeAFreshlyBuiltOne) {
                                      ? "dense"
                                      : "sparse";
         sram::SramCell solved = held_cell();
-        ASSERT_TRUE(spice::solve_dc(solved.circuit, ctx).converged) << what;
+        ASSERT_TRUE(spice::solve_dc(solved.circuit, ctx, {}).converged) << what;
         grow(solved.circuit);
         sram::SramCell fresh = held_cell();
         grow(fresh.circuit);
 
         // The solver's own path: the grown circuit's next solve rebinds
         // its workspace layout and must match the fresh circuit's bits.
-        const spice::DcResult a = spice::solve_dc(solved.circuit, ctx);
-        const spice::DcResult b = spice::solve_dc(fresh.circuit, ctx);
+        const spice::DcResult a = spice::solve_dc(solved.circuit, ctx, {});
+        const spice::DcResult b = spice::solve_dc(fresh.circuit, ctx, {});
         ASSERT_TRUE(a.converged && b.converged) << what;
         EXPECT_TRUE(same_bits(a.x, b.x)) << what;
         if (mode == spice::SolverMode::kSparse) {

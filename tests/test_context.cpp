@@ -1,6 +1,6 @@
 // SimContext tests: deterministic seed derivation, env-snapshot layering,
-// with_options views, legacy-shim attribution, per-task isolation when
-// concurrent runner tasks pin conflicting backends, and the Monte-Carlo
+// ambient-context attribution, per-task isolation when concurrent runner
+// tasks pin conflicting backends, and the Monte-Carlo
 // inner-pool attribution regression (a task's journal record must cover
 // work its MC pool did on other threads).
 
@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,8 @@
 #include <string>
 #include <thread>
 
+#include "array/array.hpp"
+#include "hier/mixed_array.hpp"
 #include "mc/monte_carlo.hpp"
 #include "runner/json.hpp"
 #include "runner/runner.hpp"
@@ -24,6 +27,7 @@
 #include "spice/solution.hpp"
 #include "sram/designs.hpp"
 #include "sram/metrics.hpp"
+#include "sram/snm.hpp"
 #include "util/contracts.hpp"
 #include "util/env.hpp"
 
@@ -76,11 +80,8 @@ TEST(ContextSeeds, DerivationIsDeterministicPerStream) {
 TEST(ContextSeeds, ChildStartsWithZeroedStats) {
     spice::SimConfig cfg;
     const spice::SimContext parent(cfg);
-    {
-        const spice::ScopedContext bind(parent);
-        spice::Circuit ckt = make_ladder(4);
-        ASSERT_TRUE(spice::solve_dc(ckt, parent.options()).converged);
-    }
+    spice::Circuit ckt = make_ladder(4);
+    ASSERT_TRUE(spice::solve_dc(ckt, parent, {}).converged);
     EXPECT_GT(parent.stats().dc_solves, 0u);
     const spice::SimContext kid = parent.child(7);
     EXPECT_EQ(kid.stats().dc_solves, 0u);
@@ -113,24 +114,7 @@ TEST(ContextConfig, FromSnapshotLayersEverySetKnob) {
               spice::SolverMode::kDense);
 }
 
-// ------------------------------------------------------------------- views
-
-TEST(ContextViews, WithOptionsSharesTheParentStatsSink) {
-    spice::SimConfig cfg;
-    const spice::SimContext ctx(cfg);
-    spice::SolverOptions loose;
-    loose.vntol = 5e-4;
-    const spice::SimContext view = ctx.with_options(loose);
-    EXPECT_EQ(&view.stats(), &ctx.stats());
-    EXPECT_DOUBLE_EQ(view.options().vntol, 5e-4);
-
-    const spice::ScopedContext bind(view);
-    spice::Circuit ckt = make_ladder(4);
-    ASSERT_TRUE(spice::solve_dc(ckt, view.options()).converged);
-    EXPECT_GT(ctx.stats().dc_solves, 0u);
-}
-
-// ------------------------------------------------------------ legacy shims
+// ------------------------------------------------------ ambient resolution
 
 TEST(ContextShims, LegacySolveAttributesToTheBoundContext) {
     spice::SimConfig cfg;
@@ -139,14 +123,15 @@ TEST(ContextShims, LegacySolveAttributesToTheBoundContext) {
     {
         const spice::ScopedContext bind(ctx);
         for (int i = 0; i < 3; ++i)
-            ASSERT_TRUE(spice::solve_dc(ckt, {}).converged);
+            ASSERT_TRUE(
+                spice::solve_dc(ckt, spice::ambient_context(), {}).converged);
         // The thread-local stats view is the bound context's sink.
         EXPECT_EQ(spice::solver_stats().dc_solves, ctx.stats().dc_solves);
     }
     EXPECT_EQ(ctx.stats().dc_solves, 3u);
     // Outside the binding, new work lands on the per-thread default
     // context, not on ctx.
-    ASSERT_TRUE(spice::solve_dc(ckt, {}).converged);
+    ASSERT_TRUE(spice::solve_dc(ckt, spice::ambient_context(), {}).converged);
     EXPECT_EQ(ctx.stats().dc_solves, 3u);
 }
 
@@ -165,7 +150,6 @@ TEST(ContextIsolation, ConcurrentTasksKeepConflictingPoliciesApart) {
     struct Observed {
         std::optional<spice::SolverKind> kind;
         std::uint64_t dc_solves = 0;
-        double vntol = 0.0;
         double v_mid = 0.0;
     };
     Observed dense_seen;
@@ -186,13 +170,12 @@ TEST(ContextIsolation, ConcurrentTasksKeepConflictingPoliciesApart) {
         spice::Circuit ckt = make_ladder(12);
         for (std::size_t i = 0; i < solves; ++i) {
             const spice::DcResult r =
-                spice::solve_dc(ckt, spice::ambient_context().options());
+                spice::solve_dc(ckt, spice::ambient_context(), {});
             TFET_ASSERT(r.converged);
             out.v_mid = spice::node_voltage(r.x, ckt.node("n5"));
         }
         out.kind = ckt.workspace().kind;
         out.dc_solves = spice::ambient_context().stats().dc_solves;
-        out.vntol = spice::ambient_context().options().vntol;
         return runner::TaskResult{};
     };
 
@@ -203,7 +186,6 @@ TEST(ContextIsolation, ConcurrentTasksKeepConflictingPoliciesApart) {
         spec.fn = [&] { return workload(dense_seen, 5); };
         spice::SimConfig sim;
         sim.mode = spice::SolverMode::kDense;
-        sim.options.vntol = 1e-7;
         spec.sim = sim;
         r.add(std::move(spec));
     }
@@ -213,22 +195,19 @@ TEST(ContextIsolation, ConcurrentTasksKeepConflictingPoliciesApart) {
         spec.fn = [&] { return workload(sparse_seen, 9); };
         spice::SimConfig sim;
         sim.mode = spice::SolverMode::kSparse;
-        sim.options.vntol = 2e-6;
         spec.sim = sim;
         r.add(std::move(spec));
     }
     const runner::RunSummary summary = r.run();
 
-    // Each task saw exactly its own backend, tolerances, and counters —
+    // Each task saw exactly its own backend and counters —
     // a fresh per-task context means raw totals are the task's delta.
     ASSERT_TRUE(dense_seen.kind.has_value());
     EXPECT_EQ(*dense_seen.kind, spice::SolverKind::kDense);
     EXPECT_EQ(dense_seen.dc_solves, 5u);
-    EXPECT_DOUBLE_EQ(dense_seen.vntol, 1e-7);
     ASSERT_TRUE(sparse_seen.kind.has_value());
     EXPECT_EQ(*sparse_seen.kind, spice::SolverKind::kSparse);
     EXPECT_EQ(sparse_seen.dc_solves, 9u);
-    EXPECT_DOUBLE_EQ(sparse_seen.vntol, 2e-6);
     // Same physics on both kernels.
     EXPECT_NEAR(dense_seen.v_mid, sparse_seen.v_mid, 1e-9);
     // The run summary aggregates the per-task sinks.
@@ -294,6 +273,121 @@ TEST(ContextStats, JournalCoversInnerMonteCarloPoolWork) {
     const runner::Json* iters = record->find("nr_iterations");
     ASSERT_NE(iters, nullptr);
     EXPECT_EQ(static_cast<std::uint64_t>(iters->as_number()), truth);
+}
+
+// ------------------------------------------------- per-call tolerances
+
+const device::ModelSet& nominal_models() {
+    static const device::ModelSet set = device::make_model_set();
+    return set;
+}
+
+/// True when no counter or gauge of `s` moved from zero.
+bool untouched(const spice::SolverStats& s) {
+    for (const spice::StatField& f : spice::kSolverStatsFields)
+        if (s.*f.member != 0)
+            return false;
+    return true;
+}
+
+/// Transient steps one run of `metric` takes on a fresh proposed cell
+/// pinned to a context of its own, with tolerances `mo.solver`. A second
+/// context is bound on the thread meanwhile; it must see none of the work.
+template <class Metric>
+std::uint64_t pinned_steps(const sram::MetricOptions& mo, Metric metric) {
+    const spice::SimContext own(spice::SimConfig{});
+    const spice::SimContext bound(spice::SimConfig{});
+    const spice::ScopedContext bind(bound);
+    sram::SramCell cell =
+        sram::build_cell(sram::proposed_design(0.8, nominal_models()).config,
+                         &own);
+    metric(cell, mo);
+    EXPECT_TRUE(untouched(bound.stats()));
+    return own.stats().transient_steps;
+}
+
+TEST(ContextTolerances, MetricSolverOptionsReachEveryTransient) {
+    const sram::MetricOptions defaults;
+    sram::MetricOptions fine;
+    fine.solver.dt_max = 1e-12;
+    const auto drnm = [](sram::SramCell& cell, const sram::MetricOptions& mo) {
+        EXPECT_TRUE(
+            sram::dynamic_read_noise_margin(cell, sram::Assist::kNone, mo)
+                .valid);
+    };
+    const auto wlcrit = [](sram::SramCell& cell,
+                           const sram::MetricOptions& mo) {
+        EXPECT_TRUE(std::isfinite(
+            sram::critical_wordline_pulse(cell, sram::Assist::kNone, mo)));
+    };
+    const auto delay = [](sram::SramCell& cell,
+                          const sram::MetricOptions& mo) {
+        EXPECT_FALSE(
+            std::isnan(sram::write_delay(cell, sram::Assist::kNone, mo)));
+    };
+    // A 1 ps step bound forces more steps than the default 100 ps bound
+    // allows only if it reaches each metric's transients.
+    EXPECT_GT(pinned_steps(fine, drnm), pinned_steps(defaults, drnm));
+    EXPECT_GT(pinned_steps(fine, wlcrit), pinned_steps(defaults, wlcrit));
+    EXPECT_GT(pinned_steps(fine, delay), pinned_steps(defaults, delay));
+}
+
+TEST(ContextTolerances, OneNewtonIterationFailsHoldPowerAndSnm) {
+    const sram::CellConfig cfg =
+        sram::proposed_design(0.8, nominal_models()).config;
+    sram::MetricOptions starved;
+    starved.solver.max_nr_iterations = 1;
+    const spice::SimContext ctx(spice::SimConfig{});
+    sram::SramCell cell = sram::build_cell(cfg, &ctx);
+
+    // One Newton iteration cannot settle a cold cell: the per-call options
+    // are the only tolerance set each solve sees.
+    sram::program_hold(cell);
+    EXPECT_FALSE(spice::solve_dc(cell.circuit, ctx, starved.solver).converged);
+    EXPECT_TRUE(std::isnan(sram::worst_hold_static_power(cell, starved)));
+    EXPECT_FALSE(
+        sram::static_noise_margin(cfg, sram::SnmMode::kHold, 81, starved.solver)
+            .valid);
+
+    // The same cell and context at the default tolerances.
+    EXPECT_TRUE(std::isfinite(
+        sram::worst_hold_static_power(cell, sram::MetricOptions{})));
+    EXPECT_TRUE(sram::static_noise_margin(cfg, sram::SnmMode::kHold).valid);
+}
+
+TEST(ContextTolerances, ArraysCountIntoTheirOwnContext) {
+    array::ArrayConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 2;
+    cfg.cell = sram::proposed_design(0.8, nominal_models()).config;
+    cfg.read_assist = sram::Assist::kRaGndLowering;
+    const std::vector<std::vector<bool>> zeros(
+        cfg.rows, std::vector<bool>(cfg.cols, false));
+
+    const spice::SimContext flat_ctx(spice::SimConfig{});
+    const spice::SimContext mixed_ctx(spice::SimConfig{});
+    const spice::SimContext bound(spice::SimConfig{});
+    const spice::ScopedContext bind(bound);
+
+    array::SramArray flat(cfg, &flat_ctx);
+    ASSERT_TRUE(flat.initialize(zeros));
+    ASSERT_TRUE(flat.write(1, 1, true).ok);
+    ASSERT_TRUE(flat.read(1, 1).ok);
+    EXPECT_GT(flat_ctx.stats().dc_solves, 0u);
+    EXPECT_EQ(flat_ctx.stats().transient_solves, 2u);
+
+    hier::MixedArray mixed(cfg, hier::HierConfig{}, &mixed_ctx);
+    ASSERT_TRUE(mixed.initialize(zeros));
+    ASSERT_TRUE(mixed.write(1, 1, true).ok);
+    ASSERT_TRUE(mixed.read(1, 1).ok);
+    EXPECT_GT(mixed_ctx.stats().dc_solves, 0u);
+    // One transient per attempt; a guard trip re-runs the operation.
+    EXPECT_EQ(mixed_ctx.stats().transient_solves,
+              2u + mixed.stats().guard_retries);
+    EXPECT_EQ(mixed_ctx.stats().hier_promotions, mixed.stats().promotions);
+    EXPECT_GT(mixed_ctx.stats().hier_active_unknowns, 0u);
+
+    EXPECT_TRUE(untouched(bound.stats()));
 }
 
 // ------------------------------------------------ counter schema arithmetic

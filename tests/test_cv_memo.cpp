@@ -194,8 +194,9 @@ struct Writer {
                                spice::TransientTape* tape = nullptr) {
         const sram::OperationWindow w =
             sram::program_write(cell, value, pulse, sram::Assist::kNone);
-        return spice::solve_transient(cell.circuit, spice::SolverOptions{},
-                                      w.t_end, nullptr, &guess, tape);
+        return spice::solve_transient(cell.circuit, spice::ambient_context(),
+                                      spice::SolverOptions{}, w.t_end, nullptr,
+                                      &guess, tape);
     }
 };
 
@@ -240,8 +241,8 @@ TEST(CvMemoCircuit, WriteTransientMakesAQuarterFewerCvCalls) {
     Writer twin(beta2_config(nominal()));
     sram::program_write(twin.cell, twin.value, 1e-9, sram::Assist::kNone);
     const spice::SolverStats dc_before = spice::solver_stats();
-    ASSERT_TRUE(spice::solve_dc(twin.cell.circuit, spice::SolverOptions{}, 0.0,
-                                &cell.hold)
+    ASSERT_TRUE(spice::solve_dc(twin.cell.circuit, spice::ambient_context(),
+                                spice::SolverOptions{}, 0.0, &cell.hold)
                     .converged);
     const std::uint64_t dc_assemblies =
         (spice::solver_stats() - dc_before).assemblies;

@@ -188,7 +188,7 @@ TEST(DcCancellation, PreCancelledTokenStopsBeforeAnyStrategy) {
     cfg.cancel->cancel();
     spice::SimContext ctx(cfg);
     spice::Circuit c = divider();
-    const spice::DcResult r = spice::solve_dc(c, ctx);
+    const spice::DcResult r = spice::solve_dc(c, ctx, {});
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.strategy, "cancelled");
     ASSERT_TRUE(r.error.has_value());
@@ -204,9 +204,9 @@ TEST(DcCancellation, IterationBudgetExpiresDeterministically) {
         cfg.iteration_budget = 1;
         spice::SimContext ctx(cfg);
         spice::Circuit c = divider();
-        const spice::DcResult first = spice::solve_dc(c, ctx);
+        const spice::DcResult first = spice::solve_dc(c, ctx, {});
         EXPECT_TRUE(first.converged); // budget not yet consumed
-        const spice::DcResult second = spice::solve_dc(c, ctx);
+        const spice::DcResult second = spice::solve_dc(c, ctx, {});
         EXPECT_FALSE(second.converged);
         EXPECT_TRUE(second.error.has_value());
         if (second.error) {
@@ -236,7 +236,7 @@ TEST(TransientCancellation, DeadlinePreservesPartialWaveform) {
     spice::Circuit c0 = rc_lowpass();
     const double t_end = 10e-9; // 10 RC time constants
     const spice::TransientResult full =
-        spice::solve_transient(c0, full_ctx, t_end);
+        spice::solve_transient(c0, full_ctx, {}, t_end);
     ASSERT_TRUE(full.completed);
     ASSERT_GT(full.size(), 4u);
     const std::uint64_t full_iters = full_ctx.stats().nr_iterations;
@@ -248,7 +248,7 @@ TEST(TransientCancellation, DeadlinePreservesPartialWaveform) {
         spice::SimContext ctx(cfg);
         spice::Circuit c = rc_lowpass();
         const spice::TransientResult r =
-            spice::solve_transient(c, ctx, t_end);
+            spice::solve_transient(c, ctx, {}, t_end);
         EXPECT_FALSE(r.completed);
         EXPECT_TRUE(r.error.has_value());
         if (r.error) {
@@ -305,7 +305,7 @@ TEST(TransientCancellation, ResumedAttemptExpiresWithPrefixIntact) {
             cell, sram::preferred_write_value(cell), opts.wlcrit_min,
             sram::Assist::kNone, opts.assist_fraction, opts.timing);
         const spice::TransientResult r = spice::solve_transient(
-            cell.circuit, ctx, w.t_end, nullptr, &shared.hold->x,
+            cell.circuit, ctx, {}, w.t_end, nullptr, &shared.hold->x,
             &shared.tape);
         const std::uint64_t replayed =
             (ctx.stats() - before).transient_steps_replayed;
@@ -493,7 +493,7 @@ TEST(StallFault, ParkedSolveUnwindsWhenTokenFires) {
         token->cancel();
     });
     spice::Circuit c = divider();
-    const spice::DcResult r = spice::solve_dc(c, ctx);
+    const spice::DcResult r = spice::solve_dc(c, ctx, {});
     canceller.join();
     EXPECT_FALSE(r.converged);
     ASSERT_TRUE(r.error.has_value());
@@ -501,7 +501,7 @@ TEST(StallFault, ParkedSolveUnwindsWhenTokenFires) {
     // Cancellation is sticky until reset; with the token re-armed and the
     // stall op index already consumed, the next solve runs clean.
     cfg.cancel->reset();
-    const spice::DcResult again = spice::solve_dc(c, ctx);
+    const spice::DcResult again = spice::solve_dc(c, ctx, {});
     EXPECT_TRUE(again.converged);
 }
 
@@ -511,7 +511,7 @@ runner::TaskFn solve_divider_or_throw() {
     return []() -> runner::TaskResult {
         spice::Circuit c = divider();
         const spice::DcResult r =
-            spice::solve_dc(c, spice::ambient_context());
+            spice::solve_dc(c, spice::ambient_context(), {});
         if (!r.converged)
             throw spice::SolveException(*r.error);
         runner::TaskResult res;

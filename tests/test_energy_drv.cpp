@@ -27,7 +27,8 @@ TEST(SourceEnergy, RcChargeEnergyMatchesTheory) {
                     spice::Waveform::pwl({{1e-10, 0.0}, {1.2e-10, 1.0}}));
     ckt.add_resistor("R", in, out, 1e3);
     ckt.add_capacitor("C", out, spice::kGround, 1e-12);
-    const spice::TransientResult tr = spice::solve_transient(ckt, {}, 10e-9);
+    const spice::TransientResult tr =
+        spice::solve_transient(ckt, spice::ambient_context(), {}, 10e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
     const double e = spice::source_energy(ckt, tr, 0.0, 10e-9);
     EXPECT_NEAR(e, 1e-12 * 1.0 * 1.0, 0.1e-12);
@@ -39,7 +40,8 @@ TEST(SourceEnergy, QuiescentWindowDrawsAlmostNothing) {
     const HoldState hs = solve_hold_state(cell, true, {});
     ASSERT_TRUE(hs.state_ok);
     const spice::TransientResult tr =
-        spice::solve_transient(cell.circuit, {}, 1e-9, nullptr, &hs.x);
+        spice::solve_transient(cell.circuit, spice::ambient_context(), {}, 1e-9,
+                               nullptr, &hs.x);
     ASSERT_TRUE(tr.completed);
     const double e = spice::source_energy(cell.circuit, tr, 0.1e-9, 1e-9);
     // Leakage watts times a nanosecond plus gmin artifacts: < 1 fJ easily.

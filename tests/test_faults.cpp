@@ -185,7 +185,7 @@ TEST(FaultInjector, ReloadFromEnvArmsAndDisarms) {
 
 TEST(DcFallback, CleanSolveUsesPlainNewton) {
     spice::Circuit c = divider();
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.strategy, "newton");
     ASSERT_EQ(r.attempts.size(), 1u);
@@ -198,7 +198,7 @@ TEST(DcFallback, CleanSolveUsesPlainNewton) {
 TEST(DcFallback, NewtonFailureFallsBackToGminStepping) {
     spice::Circuit c = divider();
     fault::ScopedFaultInjection inject("newton@0");
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.strategy, "gmin-stepping");
     ASSERT_EQ(r.attempts.size(), 2u);
@@ -215,7 +215,7 @@ TEST(DcFallback, GminFailureFallsBackToSourceStepping) {
     spice::Circuit c = divider();
     // Kill plain Newton (call 0) and the first gmin stage (call 1).
     fault::ScopedFaultInjection inject("newton@0,1");
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.strategy, "source-stepping");
     ASSERT_EQ(r.attempts.size(), 3u);
@@ -229,7 +229,7 @@ TEST(DcFallback, GminFailureFallsBackToSourceStepping) {
 TEST(DcFallback, ExhaustionReportsStructuredError) {
     spice::Circuit c = divider();
     fault::ScopedFaultInjection inject("newton@every:1");
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.strategy, "failed");
     ASSERT_TRUE(r.error.has_value());
@@ -250,7 +250,7 @@ TEST(DcFallback, ExhaustionReportsStructuredError) {
 TEST(DcFallback, InjectedDcFaultShortCircuitsTheChain) {
     spice::Circuit c = divider();
     fault::ScopedFaultInjection inject("dc@0");
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.strategy, "failed");
     EXPECT_TRUE(r.attempts.empty()); // no strategy ever ran
@@ -271,7 +271,8 @@ TEST(TransientFaults, MidRunFailureKeepsTimeReachedAndLastState) {
     // steps; from call 4 on every solve fails, so dt collapses below
     // dt_min mid-run.
     fault::ScopedFaultInjection inject("newton@from:4");
-    const spice::TransientResult r = spice::solve_transient(c, {}, 1e-9);
+    const spice::TransientResult r =
+        spice::solve_transient(c, spice::ambient_context(), {}, 1e-9);
     EXPECT_FALSE(r.completed);
     EXPECT_GT(r.time_reached, 0.0);
     EXPECT_LT(r.time_reached, 1e-9);
@@ -287,7 +288,8 @@ TEST(TransientFaults, MidRunFailureKeepsTimeReachedAndLastState) {
 TEST(TransientFaults, OperatingPointFailurePropagatesDcError) {
     spice::Circuit c = divider();
     fault::ScopedFaultInjection inject("dc@0");
-    const spice::TransientResult r = spice::solve_transient(c, {}, 1e-9);
+    const spice::TransientResult r =
+        spice::solve_transient(c, spice::ambient_context(), {}, 1e-9);
     EXPECT_FALSE(r.completed);
     EXPECT_DOUBLE_EQ(r.time_reached, 0.0);
     EXPECT_FALSE(r.has_state());
@@ -362,7 +364,8 @@ TEST(AcFaults, FailedOperatingPointCarriesStructuredError) {
     c.add_capacitor("C", out, spice::kGround, 1e-12);
     fault::ScopedFaultInjection inject("dc@0");
     const spice::AcResult r =
-        spice::solve_ac(c, {}, {&vin, 1.0}, 1e6, 1e8, 3);
+        spice::solve_ac(
+            c, spice::ambient_context(), {}, {&vin, 1.0}, 1e6, 1e8, 3);
     EXPECT_FALSE(r.ok);
     ASSERT_TRUE(r.error.has_value());
     EXPECT_EQ(r.error->code, spice::SolveErrorCode::kInjectedFault);

@@ -262,7 +262,8 @@ TEST(LuDiff, TfetWriteTransientJacobiansMatchReferenceKernel) {
     const sram::OperationWindow w =
         sram::program_write(cell, value, 1e-9, sram::Assist::kNone);
     const spice::TransientResult tr =
-        spice::solve_transient(cell.circuit, opts, w.t_end, {}, &hold.x);
+        spice::solve_transient(cell.circuit, spice::ambient_context(), opts,
+                               w.t_end, {}, &hold.x);
     ASSERT_TRUE(tr.completed);
     ASSERT_GT(tr.size(), 20u);
 

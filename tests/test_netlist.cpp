@@ -84,7 +84,8 @@ TEST(Build, RcDividerSolves) {
                                       "R1 top mid 1k\n"
                                       "R2 mid 0 3k\n");
     spice::Circuit ckt = nl.build();
-    const spice::DcResult r = spice::solve_dc(ckt, {});
+    const spice::DcResult r =
+        spice::solve_dc(ckt, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(spice::node_voltage(r.x, ckt.node("mid")), 0.75, 1e-6);
 }
@@ -95,7 +96,8 @@ TEST(Build, RcTransientMatchesAnalytic) {
                                       "R1 in out 1k\n"
                                       "C1 out 0 1p\n");
     spice::Circuit ckt = nl.build();
-    const spice::TransientResult tr = spice::solve_transient(ckt, {}, 4e-9);
+    const spice::TransientResult tr =
+        spice::solve_transient(ckt, spice::ambient_context(), {}, 4e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
     const double expected = 1.0 - std::exp(-(3e-9 - 1e-9) / 1e-9);
     EXPECT_NEAR(tr.voltage_at(ckt.node("out"), 3e-9), expected, 0.02);
@@ -105,7 +107,8 @@ TEST(Build, SwitchElement) {
     const Netlist nl =
         Netlist::parse("sw\nV1 a 0 DC 1\nS1 a b 10 1e12 DC 1\nR1 b 0 10\n");
     spice::Circuit ckt = nl.build();
-    const spice::DcResult r = spice::solve_dc(ckt, {});
+    const spice::DcResult r =
+        spice::solve_dc(ckt, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(spice::node_voltage(r.x, ckt.node("b")), 0.5, 1e-6);
 }
@@ -126,7 +129,8 @@ TEST(Build, TfetInverterFromDeck) {
         "MP out in vdd tp W=1\n"
         "MN out in 0 tn W=1\n");
     spice::Circuit ckt = nl.build();
-    const spice::DcResult r = spice::solve_dc(ckt, {});
+    const spice::DcResult r =
+        spice::solve_dc(ckt, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_GT(spice::node_voltage(r.x, ckt.node("out")), 0.75);
 }
@@ -139,7 +143,8 @@ TEST(Build, ModelParametersApplied) {
         "Vg g 0 DC 1\n"
         "M1 d g 0 hot W=1\n");
     spice::Circuit ckt = nl.build();
-    const spice::DcResult r = spice::solve_dc(ckt, {});
+    const spice::DcResult r =
+        spice::solve_dc(ckt, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     // Ion recalibrated to 1e-5: the drain current at full bias must track.
     const auto* m = ckt.transistors().front();
@@ -176,8 +181,8 @@ Cqb qb 0 0.25f
     guess[ckt.node("blb") - 1] = 0.8;
     guess[ckt.node("wl") - 1] = 0.8;
     const spice::TransientResult tr =
-        spice::solve_transient(ckt, {}, nl.analyses()[0].tstop, nullptr,
-                               &guess);
+        spice::solve_transient(ckt, spice::ambient_context(), {},
+                               nl.analyses()[0].tstop, nullptr, &guess);
     ASSERT_TRUE(tr.completed) << tr.message;
     EXPECT_GT(tr.final_voltage(ckt.node("q")), 0.7);
     EXPECT_LT(tr.final_voltage(ckt.node("qb")), 0.1);
@@ -209,7 +214,8 @@ MN2 b a 0   tn W=0.6
     const Netlist nl = Netlist::parse(deck);
     spice::Circuit ckt = nl.build();
     const la::Vector guess = nl.initial_guess(ckt);
-    const spice::DcResult r = spice::solve_dc(ckt, {}, 0.0, &guess);
+    const spice::DcResult r =
+        spice::solve_dc(ckt, spice::ambient_context(), {}, 0.0, &guess);
     ASSERT_TRUE(r.converged);
     EXPECT_GT(spice::node_voltage(r.x, ckt.node("a")) -
                   spice::node_voltage(r.x, ckt.node("b")),
@@ -317,8 +323,10 @@ TEST(Build, EachBuildIsIndependent) {
     spice::Circuit c1 = nl.build();
     spice::Circuit c2 = nl.build();
     EXPECT_EQ(c1.num_nodes(), c2.num_nodes());
-    const spice::DcResult r1 = spice::solve_dc(c1, {});
-    const spice::DcResult r2 = spice::solve_dc(c2, {});
+    const spice::DcResult r1 =
+        spice::solve_dc(c1, spice::ambient_context(), {});
+    const spice::DcResult r2 =
+        spice::solve_dc(c2, spice::ambient_context(), {});
     EXPECT_TRUE(r1.converged);
     EXPECT_TRUE(r2.converged);
 }

@@ -108,7 +108,8 @@ bool all_finite(const la::Vector& x) {
 TEST(NonFiniteNewton, DcNeverConvergesOnANaNUpdate) {
     // The only operating point (gate at 0.5 V) lies in the NaN window.
     Fixture f(spice::Waveform::dc(0.5), 0.4, 0.6);
-    const spice::DcResult dc = spice::solve_dc(f.c, spice::SolverOptions{});
+    const spice::DcResult dc =
+        spice::solve_dc(f.c, spice::ambient_context(), spice::SolverOptions{});
     EXPECT_FALSE(dc.converged);
     EXPECT_TRUE(dc.error.has_value());
     EXPECT_GE(dc.attempts.size(), 3u); // every strategy was tried
@@ -116,7 +117,8 @@ TEST(NonFiniteNewton, DcNeverConvergesOnANaNUpdate) {
 
 TEST(NonFiniteNewton, DcStillConvergesOutsideTheWindow) {
     Fixture f(spice::Waveform::dc(0.3), 0.4, 0.6);
-    const spice::DcResult dc = spice::solve_dc(f.c, spice::SolverOptions{});
+    const spice::DcResult dc =
+        spice::solve_dc(f.c, spice::ambient_context(), spice::SolverOptions{});
     ASSERT_TRUE(dc.converged);
     EXPECT_TRUE(all_finite(dc.x));
     EXPECT_EQ(dc.strategy, "newton");
@@ -126,7 +128,8 @@ TEST(NonFiniteNewton, TransientFailsInsteadOfCompletingANaNWaveform) {
     // The gate ramps into a NaN window that covers everything above 0.5 V.
     Fixture f(spice::Waveform::pwl({{0.0, 0.0}, {1e-9, 1.0}}), 0.5, 10.0);
     const spice::TransientResult tr =
-        spice::solve_transient(f.c, spice::SolverOptions{}, 2e-9);
+        spice::solve_transient(f.c, spice::ambient_context(),
+                               spice::SolverOptions{}, 2e-9);
     EXPECT_FALSE(tr.completed);
     ASSERT_TRUE(tr.error.has_value());
     // Newton accepts its last update without evaluating the devices there,

@@ -56,7 +56,7 @@ TEST(Periphery, PrechargePullsBothLinesHigh) {
         spice::Waveform::pwl({{0.1e-9, 0.8}, {0.12e-9, 0.0},
                               {1.0e-9, 0.0}, {1.02e-9, 0.8}}));
     const spice::TransientResult tr =
-        spice::solve_transient(f.ckt, {}, 1.2e-9);
+        spice::solve_transient(f.ckt, spice::ambient_context(), {}, 1.2e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
     EXPECT_NEAR(tr.voltage_at(f.bl, 1.0e-9), 0.8, 0.02);
     EXPECT_NEAR(tr.voltage_at(f.blb, 1.0e-9), 0.8, 0.02);
@@ -83,7 +83,7 @@ TEST(Periphery, EqualizerBalancesEitherPolarity) {
                              : spice::Waveform::pwl({{0.05e-9, 1.0},
                                                      {0.06e-9, 0.0}}));
         const spice::TransientResult tr =
-            spice::solve_transient(f.ckt, {}, 1e-9);
+            spice::solve_transient(f.ckt, spice::ambient_context(), {}, 1e-9);
         ASSERT_TRUE(tr.completed) << tr.message;
         EXPECT_NEAR(tr.final_voltage(f.bl), tr.final_voltage(f.blb), 0.02)
             << "bl_high=" << bl_high;
@@ -99,7 +99,8 @@ TEST(Periphery, WriteDriverDrivesAndTristates) {
     drv.v_datab->set_waveform(spice::Waveform::dc(0.0));
     drv.v_en_n->set_waveform(spice::Waveform::dc(0.8));
     drv.v_en_p->set_waveform(spice::Waveform::dc(0.0));
-    const spice::DcResult on = spice::solve_dc(f.ckt, {});
+    const spice::DcResult on =
+        spice::solve_dc(f.ckt, spice::ambient_context(), {});
     ASSERT_TRUE(on.converged);
     EXPECT_GT(spice::node_voltage(on.x, f.bl), 0.75);
     EXPECT_LT(spice::node_voltage(on.x, f.blb), 0.05);
@@ -110,7 +111,8 @@ TEST(Periphery, WriteDriverDrivesAndTristates) {
     drv.v_en_p->set_waveform(spice::Waveform::dc(0.8));
     f.ckt.add_vsource("Vprobe", f.bl, spice::kGround,
                       spice::Waveform::dc(0.4));
-    const spice::DcResult off = spice::solve_dc(f.ckt, {});
+    const spice::DcResult off =
+        spice::solve_dc(f.ckt, spice::ambient_context(), {});
     ASSERT_TRUE(off.converged);
     // The probe holds 0.4 V; a still-on driver would fight it hard.
     const auto* probe = f.ckt.voltage_sources().back();
@@ -135,7 +137,8 @@ TEST_P(SenseAmpPolarity, RegeneratesSmallDifferentialToFullSwing) {
                      release);
     sa.v_sae->set_waveform(
         spice::Waveform::pwl({{0.2e-9, 0.0}, {0.21e-9, 0.8}}));
-    const spice::TransientResult tr = spice::solve_transient(f.ckt, {}, 1.5e-9);
+    const spice::TransientResult tr =
+        spice::solve_transient(f.ckt, spice::ambient_context(), {}, 1.5e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
     const double v_bl = tr.final_voltage(f.bl);
     const double v_blb = tr.final_voltage(f.blb);
@@ -192,7 +195,8 @@ TEST(Periphery, FullReadPathWithRealPeriphery) {
     guess[blb - 1] = 0.8;
     guess[wl - 1] = 0.8;
     const spice::TransientResult tr =
-        spice::solve_transient(ckt, {}, 1.8e-9, nullptr, &guess);
+        spice::solve_transient(ckt, spice::ambient_context(), {}, 1.8e-9,
+                               nullptr, &guess);
     ASSERT_TRUE(tr.completed) << tr.message;
 
     EXPECT_LT(tr.final_voltage(bl), 0.05) << "SA must slam BL low (q = 0)";
@@ -245,7 +249,8 @@ TEST(Periphery, FullWritePathWithRealDriver) {
     guess[vdd - 1] = 0.8;
     guess[qb - 1] = 0.8;
     const spice::TransientResult tr =
-        spice::solve_transient(ckt, {}, 1.5e-9, nullptr, &guess);
+        spice::solve_transient(ckt, spice::ambient_context(), {}, 1.5e-9,
+                               nullptr, &guess);
     ASSERT_TRUE(tr.completed) << tr.message;
     EXPECT_GT(tr.final_voltage(q), 0.7) << "write 1 must land";
     EXPECT_LT(tr.final_voltage(qb), 0.1);

@@ -113,7 +113,8 @@ TEST(Regression, BackwardEulerFallbackSurvivesSharpEdges) {
     c.add_resistor("R1", in, mid, 1e6);
     c.add_capacitor("C1", mid, spice::kGround, 1e-15);
     c.add_transistor("M", models().ntfet, mid, in, spice::kGround, 1.0);
-    const spice::TransientResult tr = spice::solve_transient(c, {}, 5e-10);
+    const spice::TransientResult tr =
+        spice::solve_transient(c, spice::ambient_context(), {}, 5e-10);
     EXPECT_TRUE(tr.completed) << tr.message;
 }
 

@@ -607,8 +607,8 @@ TEST(TelemetrySchema, JournalAndBenchReportEveryCounterOfEveryTask) {
             c.add_resistor("R1", in, mid, 1e3);
             c.add_resistor("R2", mid, spice::kGround, 1e3);
             const spice::SimContext& ctx = spice::ambient_context();
-            TFET_ASSERT(spice::solve_dc(c, ctx).converged);
-            TFET_ASSERT(!spice::solve_dc(c, ctx).converged); // budget spent
+            TFET_ASSERT(spice::solve_dc(c, ctx, {}).converged);
+            TFET_ASSERT(!spice::solve_dc(c, ctx, {}).converged); // budget spent
             capture("budget");
             return TaskResult{};
         };

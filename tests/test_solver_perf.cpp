@@ -73,7 +73,7 @@ spice::SolverStats metered_since(const spice::SolverStats& before) {
 TEST(SolverPerf, ConvergedLinearSolveAssemblesEachIterateOnce) {
     spice::Circuit c = divider();
     const spice::SolverStats before = spice::solver_stats();
-    const spice::DcResult r = solve_dc(c, {});
+    const spice::DcResult r = solve_dc(c, spice::ambient_context(), {});
     const spice::SolverStats d = metered_since(before);
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.strategy, "newton");
@@ -107,7 +107,8 @@ TEST(SolverPerf, WarmResolveFromSolutionCostsOneIteration) {
     ASSERT_TRUE(hs.converged);
 
     const spice::SolverStats before = spice::solver_stats();
-    const spice::DcResult r = solve_dc(cell.circuit, {}, 0.0, &hs.x);
+    const spice::DcResult r =
+        solve_dc(cell.circuit, spice::ambient_context(), {}, 0.0, &hs.x);
     const spice::SolverStats d = metered_since(before);
     ASSERT_TRUE(r.converged);
     // Re-solving from a converged point must recognize the solution on the
@@ -198,7 +199,7 @@ TEST(GminStepping, ZeroGminTerminatesInBoundedStages) {
     // falls through to gmin stepping; the stages themselves run normally.
     fault::ScopedFaultInjection inject("newton@0");
     const spice::SolverStats before = spice::solver_stats();
-    const spice::DcResult r = solve_dc(c, opts);
+    const spice::DcResult r = solve_dc(c, spice::ambient_context(), opts);
     const spice::SolverStats d = metered_since(before);
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.strategy, "gmin-stepping");
@@ -241,7 +242,8 @@ TEST(TransientBreakpoints, UlpSpacedBreakpointsDoNotForceMicroSteps) {
     spice::SolverOptions opts;
     opts.dt_initial = 1e-6;
     opts.dt_max = 1e-2; // seconds-scale window needs ms-scale steps
-    const spice::TransientResult tr = solve_transient(c, opts, 0.35);
+    const spice::TransientResult tr =
+        solve_transient(c, spice::ambient_context(), opts, 0.35);
     ASSERT_TRUE(tr.completed) << tr.message;
 
     // With the breakpoint tolerance relative to t, the twin breakpoints are

@@ -73,12 +73,11 @@ spice::SimContext dense_context() {
     return spice::SimContext(std::move(cfg));
 }
 
-/// Dense, with no gmin shunt, for circuits checked against closed forms.
-spice::SimContext exact_context() {
-    spice::SimConfig cfg;
-    cfg.mode = spice::SolverMode::kDense;
-    cfg.options.gmin = 0.0;
-    return spice::SimContext(std::move(cfg));
+/// No gmin shunt, for circuits checked against closed forms.
+spice::SolverOptions exact_options() {
+    spice::SolverOptions opts;
+    opts.gmin = 0.0;
+    return opts;
 }
 
 /// DC, the first transient step (backward Euler) and a trapezoidal step at
@@ -246,7 +245,7 @@ void run_checked(sram::SramCell& cell, const la::Vector& x0, double t_end,
     Oracle oracle(cell.circuit);
     ASSERT_TRUE(oracle.check(x0, 0.0, what + " guess"));
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, ctx, t_end, oracle.every_step(what), &x0);
+        cell.circuit, ctx, {}, t_end, oracle.every_step(what), &x0);
     EXPECT_TRUE(tr.completed) << what << ": " << tr.message;
     EXPECT_GT(oracle.checks(), 3 * 10u) << what << ": too few steps checked";
 }
@@ -263,7 +262,7 @@ void check_source_stepping(sram::SramCell& cell, const spice::SimContext& ctx,
         spice::AnalysisState as;
         as.source_scale = lambda;
         const int iters =
-            spice::detail::newton_raphson(c, as, ctx, ctx.options().gmin, x);
+            spice::detail::newton_raphson(c, as, ctx, {}, kGmin, x);
         EXPECT_GT(iters, 0) << name << " source_scale " << lambda;
         oracle.check(x, 0.0, name + " source-stepping", lambda);
     }
@@ -343,7 +342,7 @@ TEST(SourceFold, SixTransistorCellFactorsFourOfFourteenUnknowns) {
     sram::SramCell cell =
         sram::build_cell(sram::proposed_design(2.0, models()).config);
     sram::program_hold(cell);
-    ASSERT_TRUE(spice::solve_dc(cell.circuit, ctx).converged);
+    ASSERT_TRUE(spice::solve_dc(cell.circuit, ctx, {}).converged);
     const spice::SourceFold& fold = cell.circuit.workspace().fold;
     EXPECT_EQ(cell.circuit.num_unknowns(), 14u);
     EXPECT_EQ(fold.unknowns(), 14u);
@@ -383,8 +382,8 @@ TEST(SourceFoldRules, PosGroundedSourceDrivesItsNodeNegative) {
     EXPECT_EQ(classified_free_unknowns(c), 1u);
     expect_agreement(c, 1, "pos-grounded");
 
-    const spice::SimContext ctx = exact_context();
-    const spice::DcResult dc = spice::solve_dc(c, ctx);
+    const spice::SimContext ctx = dense_context();
+    const spice::DcResult dc = spice::solve_dc(c, ctx, exact_options());
     ASSERT_TRUE(dc.converged);
     EXPECT_DOUBLE_EQ(dc.x[a - 1], -0.6);
     // KCL at b: (va - vb)/1k + 1e-5 = vb/3k.
@@ -406,8 +405,8 @@ TEST(SourceFoldRules, FloatingSourceStaysABranchUnknown) {
     EXPECT_EQ(classified_free_unknowns(c), 2u);
     expect_agreement(c, 2, "floating");
 
-    const spice::SimContext ctx = exact_context();
-    const spice::DcResult dc = spice::solve_dc(c, ctx);
+    const spice::SimContext ctx = dense_context();
+    const spice::DcResult dc = spice::solve_dc(c, ctx, exact_options());
     ASSERT_TRUE(dc.converged);
     EXPECT_NEAR(dc.x[b - 1], 1.1, 1e-15);
     EXPECT_NEAR(dc.x[2], -1.1 / 2e3, 1e-18); // Va sources Rb's current
@@ -446,14 +445,15 @@ TEST(SourceFoldRules, AllNodesKnownLeavesAnEmptyBlock) {
     EXPECT_EQ(classified_free_unknowns(c), 0u);
     expect_agreement(c, 3, "all known");
 
-    const spice::SimContext ctx = exact_context();
-    const spice::DcResult dc = spice::solve_dc(c, ctx);
+    const spice::SimContext ctx = dense_context();
+    const spice::DcResult dc = spice::solve_dc(c, ctx, exact_options());
     ASSERT_TRUE(dc.converged);
     EXPECT_EQ(dc.x[a - 1], 0.8);
     EXPECT_EQ(dc.x[b - 1], -0.2);
     EXPECT_NEAR(dc.x[2], -1e-3, 1e-15);
     EXPECT_NEAR(dc.x[3], -1e-3, 1e-15);
-    const spice::TransientResult tr = spice::solve_transient(c, ctx, 1e-11);
+    const spice::TransientResult tr =
+        spice::solve_transient(c, ctx, exact_options(), 1e-11);
     EXPECT_TRUE(tr.completed) << tr.message;
 }
 
@@ -463,14 +463,14 @@ TEST(SourceFoldRules, CircuitThatGainsDevicesIsReclassified) {
         sram::build_cell(sram::proposed_design(2.0, models()).config);
     sram::program_hold(cell);
     spice::Circuit& c = cell.circuit;
-    ASSERT_TRUE(spice::solve_dc(c, ctx).converged);
+    ASSERT_TRUE(spice::solve_dc(c, ctx, {}).converged);
     EXPECT_EQ(c.workspace().fold.free_unknowns(), 4u);
 
     // A free node: one more free unknown.
     const spice::NodeId tap = c.add_node("tap");
     c.add_resistor("Rtap", c.node("q"), tap, 5e4);
     c.add_resistor("Rgnd", tap, spice::kGround, 5e4);
-    const spice::DcResult grown = spice::solve_dc(c, ctx);
+    const spice::DcResult grown = spice::solve_dc(c, ctx, {});
     ASSERT_TRUE(grown.converged);
     EXPECT_EQ(c.workspace().fold.unknowns(), 15u);
     EXPECT_EQ(c.workspace().fold.free_unknowns(), 5u);
@@ -478,7 +478,7 @@ TEST(SourceFoldRules, CircuitThatGainsDevicesIsReclassified) {
 
     // A grounded source on it folds that node and its branch.
     c.add_vsource("Vtap", tap, spice::kGround, spice::Waveform::dc(0.1));
-    const spice::DcResult driven = spice::solve_dc(c, ctx, 0.0, &grown.x);
+    const spice::DcResult driven = spice::solve_dc(c, ctx, {}, 0.0, &grown.x);
     ASSERT_TRUE(driven.converged);
     EXPECT_EQ(c.workspace().fold.unknowns(), 16u);
     EXPECT_EQ(c.workspace().fold.free_unknowns(), 4u);
@@ -505,7 +505,7 @@ TEST(SourceFoldRules, SingularFreeBlockFailsTheIteration) {
     const spice::SimContext ctx = dense_context();
     la::Vector x(c.num_unknowns(), 0.0);
     EXPECT_EQ(spice::detail::newton_raphson(c, spice::AnalysisState{}, ctx,
-                                            0.0, x),
+                                            {}, 0.0, x),
               -1);
     EXPECT_EQ(ctx.stats().lu_factorizations, 1u);
     EXPECT_EQ(ctx.stats().nr_iterations, 1u);

@@ -300,7 +300,7 @@ TEST(SparseDenseFailure, SingularCircuitSolveFailsGracefullyBothPaths) {
         c.add_capacitor("C1", a, b, 1e-15); // b floats in DC
         spice::SolverOptions opts;
         opts.gmin = 0.0; // no convergence shunt to hide the singularity
-        const spice::DcResult r = solve_dc(c, opts);
+        const spice::DcResult r = solve_dc(c, spice::ambient_context(), opts);
         EXPECT_FALSE(r.converged) << "mode " << static_cast<int>(mode);
         EXPECT_EQ(r.strategy, "failed");
         ASSERT_TRUE(r.error.has_value());
@@ -494,7 +494,7 @@ TEST(SparseCounters, OneSymbolicAnalysisPerCircuitTopology) {
         c.add_resistor("R2", mid, spice::kGround, 3e3);
         // Three solves of the same circuit reuse the one analysis.
         for (int s = 0; s < 3; ++s)
-            ASSERT_TRUE(solve_dc(c, {}).converged);
+            ASSERT_TRUE(solve_dc(c, spice::ambient_context(), {}).converged);
     }
     const spice::SolverStats d = metered_since(before);
     EXPECT_EQ(d.sparse_symbolic_analyses, static_cast<std::uint64_t>(kCircuits));
@@ -505,7 +505,8 @@ TEST(SparseCounters, OneRefactorizationPerNewtonIteration) {
     const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     const spice::SolverStats before = spice::solver_stats();
-    const spice::DcResult r = solve_dc(cell.circuit, {});
+    const spice::DcResult r =
+        solve_dc(cell.circuit, spice::ambient_context(), {});
     const spice::SolverStats d = metered_since(before);
     ASSERT_TRUE(r.converged);
     EXPECT_GT(d.nr_iterations, 0u);
@@ -525,7 +526,7 @@ TEST(SparseCounters, DenseOnlyWindowReportsNoSparseWork) {
     const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     const spice::SolverStats before = spice::solver_stats();
-    ASSERT_TRUE(solve_dc(cell.circuit, {}).converged);
+    ASSERT_TRUE(solve_dc(cell.circuit, spice::ambient_context(), {}).converged);
     const spice::SolverStats d = metered_since(before);
     EXPECT_GT(d.lu_factorizations, 0u);
     EXPECT_EQ(d.sparse_refactorizations, 0u);
@@ -543,7 +544,7 @@ TEST(SparseCounters, AutoModeRoutesBySystemSize) {
 
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     ASSERT_LT(cell.circuit.num_unknowns(), spice::kSparseAutoThreshold);
-    ASSERT_TRUE(solve_dc(cell.circuit, {}).converged);
+    ASSERT_TRUE(solve_dc(cell.circuit, spice::ambient_context(), {}).converged);
     ASSERT_TRUE(cell.circuit.workspace().kind.has_value());
     EXPECT_EQ(*cell.circuit.workspace().kind, spice::SolverKind::kDense);
 
@@ -586,7 +587,7 @@ TEST(SparseCounters, DenseOnlyWindowReportsNoFastPathWork) {
     const spice::ScopedContext bind(ctx);
     sram::SramCell cell = sram::build_cell(proposed_array(1, 1).cell);
     const spice::SolverStats before = spice::solver_stats();
-    ASSERT_TRUE(solve_dc(cell.circuit, {}).converged);
+    ASSERT_TRUE(solve_dc(cell.circuit, spice::ambient_context(), {}).converged);
     const spice::SolverStats d = metered_since(before);
     EXPECT_EQ(d.sparse_static_pivot_hits, 0u);
     EXPECT_EQ(d.sparse_pivot_fallbacks, 0u);
@@ -600,7 +601,7 @@ TEST(SparseCounters, TopologyChangeTriggersFreshAnalysis) {
     const spice::NodeId top = c.add_node("top");
     c.add_vsource("V1", top, spice::kGround, spice::Waveform::dc(1.0));
     c.add_resistor("R1", top, spice::kGround, 1e3);
-    ASSERT_TRUE(solve_dc(c, {}).converged);
+    ASSERT_TRUE(solve_dc(c, spice::ambient_context(), {}).converged);
 
     // Growing the circuit invalidates the frozen pattern; the next solve
     // must re-run the symbolic analysis instead of stamping outside it.
@@ -608,7 +609,7 @@ TEST(SparseCounters, TopologyChangeTriggersFreshAnalysis) {
     c.add_resistor("R2", top, mid, 1e3);
     c.add_resistor("R3", mid, spice::kGround, 1e3);
     const spice::SolverStats before = spice::solver_stats();
-    ASSERT_TRUE(solve_dc(c, {}).converged);
+    ASSERT_TRUE(solve_dc(c, spice::ambient_context(), {}).converged);
     const spice::SolverStats d = metered_since(before);
     EXPECT_EQ(d.sparse_symbolic_analyses, 1u);
 }

@@ -22,7 +22,7 @@ TEST(Ac, RcLowPassCorner) {
     ckt.add_resistor("R", in, out, 1e3);
     ckt.add_capacitor("C", out, kGround, 1e-12);
     const AcResult res =
-        solve_ac(ckt, {}, {&vin, 1.0}, 1e6, 1e10, 20);
+        solve_ac(ckt, ambient_context(), {}, {&vin, 1.0}, 1e6, 1e10, 20);
     ASSERT_TRUE(res.ok) << res.message;
     const double f3 = res.corner_frequency(out);
     EXPECT_NEAR(f3, 1.0 / (2.0 * M_PI * 1e3 * 1e-12), f3 * 0.05);
@@ -41,7 +41,8 @@ TEST(Ac, ResistiveDividerFlat) {
     auto& vin = ckt.add_vsource("V", in, kGround, Waveform::dc(0.0));
     ckt.add_resistor("R1", in, mid, 1e3);
     ckt.add_resistor("R2", mid, kGround, 1e3);
-    const AcResult res = solve_ac(ckt, {}, {&vin, 1.0}, 1e3, 1e9, 5);
+    const AcResult res =
+        solve_ac(ckt, ambient_context(), {}, {&vin, 1.0}, 1e3, 1e9, 5);
     ASSERT_TRUE(res.ok);
     for (std::size_t i = 0; i < res.frequencies().size(); ++i)
         EXPECT_NEAR(res.magnitude_db(mid, i), 20.0 * std::log10(0.5), 0.05)
@@ -57,7 +58,8 @@ TEST(Ac, PhaseLagAtCorner) {
     ckt.add_resistor("R", in, out, 1e3);
     ckt.add_capacitor("C", out, kGround, 1e-12);
     const double fc = 1.0 / (2.0 * M_PI * 1e3 * 1e-12);
-    const AcResult res = solve_ac(ckt, {}, {&vin, 1.0}, fc, fc * 1.01, 200);
+    const AcResult res =
+        solve_ac(ckt, ambient_context(), {}, {&vin, 1.0}, fc, fc * 1.01, 200);
     ASSERT_TRUE(res.ok);
     const std::complex<double> v = res.phasor(out, 0);
     EXPECT_NEAR(std::arg(v), -M_PI / 4.0, 0.02); // -45 degrees at the corner
@@ -76,7 +78,8 @@ TEST(Ac, TfetCommonSourceGain) {
     const auto model = device::make_ntfet();
     ckt.add_transistor("M", model, out, in, kGround, 1.0);
 
-    const AcResult res = solve_ac(ckt, {}, {&vin, 1.0}, 1e3, 1e6, 5);
+    const AcResult res =
+        solve_ac(ckt, ambient_context(), {}, {&vin, 1.0}, 1e3, 1e6, 5);
     ASSERT_TRUE(res.ok) << res.message;
     const double av = std::abs(res.phasor(out, 0));
     EXPECT_GT(av, 1.0) << "the stage must amplify";
@@ -98,7 +101,8 @@ TEST(Ac, TransistorCapacitanceLoadsTheBitline) {
         // Gate grounded, drain at the node: Cgd loads it.
         ckt.add_transistor("M", device::make_ntfet(), out, kGround, kGround,
                            width);
-        const AcResult res = solve_ac(ckt, {}, {&vin, 1.0}, 1e6, 1e12, 10);
+        const AcResult res =
+            solve_ac(ckt, ambient_context(), {}, {&vin, 1.0}, 1e6, 1e12, 10);
         return res.ok ? res.corner_frequency(out) : -1.0;
     };
     const double f1 = corner_for_width(1.0);
@@ -113,9 +117,11 @@ TEST(Ac, RejectsBadSweep) {
     const NodeId in = ckt.add_node("in");
     auto& vin = ckt.add_vsource("V", in, kGround, Waveform::dc(0.0));
     ckt.add_resistor("R", in, kGround, 1e3);
-    EXPECT_THROW(solve_ac(ckt, {}, {&vin, 1.0}, 1e6, 1e3, 10),
+    EXPECT_THROW(solve_ac(ckt, ambient_context(), {}, {&vin, 1.0}, 1e6, 1e3,
+                          10),
                  contract_violation);
-    EXPECT_THROW(solve_ac(ckt, {}, {nullptr, 1.0}, 1e3, 1e6, 10),
+    EXPECT_THROW(solve_ac(ckt, ambient_context(), {}, {nullptr, 1.0}, 1e3,
+                          1e6, 10),
                  contract_violation);
 }
 

@@ -22,7 +22,7 @@ TEST(Dc, ResistorDivider) {
     c.add_vsource("V1", top, kGround, Waveform::dc(1.0));
     c.add_resistor("R1", top, mid, 1e3);
     c.add_resistor("R2", mid, kGround, 3e3);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(node_voltage(r.x, mid), 0.75, 1e-6);
 }
@@ -32,7 +32,7 @@ TEST(Dc, CurrentSourceIntoResistor) {
     const NodeId n = c.add_node("n");
     c.add_isource("I1", kGround, n, Waveform::dc(1e-3)); // 1 mA into n
     c.add_resistor("R", n, kGround, 2e3);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(node_voltage(r.x, n), 2.0, 1e-6);
 }
@@ -42,7 +42,7 @@ TEST(Dc, VoltageSourceBranchCurrent) {
     const NodeId n = c.add_node("n");
     auto& v = c.add_vsource("V1", n, kGround, Waveform::dc(2.0));
     c.add_resistor("R", n, kGround, 1e3);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     // 2 mA delivered into the circuit out of the + terminal.
     EXPECT_NEAR(v.delivered_current(r.x), 2e-3, 1e-9);
@@ -56,7 +56,7 @@ TEST(Dc, CapacitorIsOpenAtDc) {
     c.add_vsource("V1", a, kGround, Waveform::dc(1.0));
     c.add_resistor("R", a, b, 1e3);
     c.add_capacitor("C", b, kGround, 1e-12);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     // No DC path to ground except gmin: node floats to the source value.
     EXPECT_NEAR(node_voltage(r.x, b), 1.0, 1e-3);
@@ -69,7 +69,7 @@ TEST(Dc, SeriesVoltageSourcesStack) {
     c.add_vsource("V1", a, kGround, Waveform::dc(1.0));
     c.add_vsource("V2", b, a, Waveform::dc(0.5));
     c.add_resistor("R", b, kGround, 1e3);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(node_voltage(r.x, b), 1.5, 1e-6);
 }
@@ -81,7 +81,7 @@ TEST(Dc, TimedSwitchConducts) {
     c.add_vsource("V1", a, kGround, Waveform::dc(1.0));
     c.add_switch("S", a, b, 10.0, 1e12, Waveform::dc(1.0));
     c.add_resistor("R", b, kGround, 10.0);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(node_voltage(r.x, b), 0.5, 1e-6);
 }
@@ -93,7 +93,7 @@ TEST(Dc, TimedSwitchBlocks) {
     c.add_vsource("V1", a, kGround, Waveform::dc(1.0));
     c.add_switch("S", a, b, 10.0, 1e12, Waveform::dc(0.0));
     c.add_resistor("R", b, kGround, 10.0);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_LT(node_voltage(r.x, b), 1e-6);
 }
@@ -106,7 +106,7 @@ TEST(Dc, DiodeConnectedMosfetConverges) {
     c.add_vsource("V1", vdd, kGround, Waveform::dc(1.0));
     c.add_resistor("R", vdd, d, 1e4);
     c.add_transistor("M", device::make_nmos(), d, d, kGround, 1.0);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     const double v = node_voltage(r.x, d);
     EXPECT_GT(v, 0.3);
@@ -123,12 +123,12 @@ TEST(Dc, TfetInverterSwitches) {
     c.add_transistor("MP", device::make_ptfet(), out, in, vdd, 1.0);
     c.add_transistor("MN", device::make_ntfet(), out, in, kGround, 1.0);
 
-    const DcResult low_in = solve_dc(c, {});
+    const DcResult low_in = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(low_in.converged);
     EXPECT_GT(node_voltage(low_in.x, out), 0.75); // output high
 
     vin.set_waveform(Waveform::dc(0.8));
-    const DcResult high_in = solve_dc(c, {});
+    const DcResult high_in = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(high_in.converged);
     EXPECT_LT(node_voltage(high_in.x, out), 0.05); // output low
 }
@@ -141,7 +141,7 @@ TEST(Dc, StaticPowerFromDeviceEquationsNotGmin) {
     const NodeId vdd = c.add_node("vdd");
     c.add_vsource("V1", vdd, kGround, Waveform::dc(0.8));
     c.add_transistor("M", device::make_ntfet(), vdd, kGround, kGround, 1.0);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     const double p = static_power(c, r.x);
     EXPECT_GT(p, 1e-19);
@@ -153,7 +153,7 @@ TEST(Dc, PowerReportBalances) {
     const NodeId n = c.add_node("n");
     c.add_vsource("V1", n, kGround, Waveform::dc(1.0));
     c.add_resistor("R", n, kGround, 1e3);
-    const DcResult r = solve_dc(c, {});
+    const DcResult r = solve_dc(c, ambient_context(), {});
     ASSERT_TRUE(r.converged);
     const PowerReport rep = power_report(c, r.x);
     EXPECT_NEAR(rep.dissipated, 1e-3, 1e-8);
@@ -178,13 +178,13 @@ TEST(Dc, InitialGuessSelectsBistableState) {
     guess[vdd - 1] = 0.8;
     guess[a - 1] = 0.8;
     guess[b - 1] = 0.0;
-    const DcResult r1 = solve_dc(c, {}, 0.0, &guess);
+    const DcResult r1 = solve_dc(c, ambient_context(), {}, 0.0, &guess);
     ASSERT_TRUE(r1.converged);
     EXPECT_GT(node_voltage(r1.x, a) - node_voltage(r1.x, b), 0.6);
 
     guess[a - 1] = 0.0;
     guess[b - 1] = 0.8;
-    const DcResult r2 = solve_dc(c, {}, 0.0, &guess);
+    const DcResult r2 = solve_dc(c, ambient_context(), {}, 0.0, &guess);
     ASSERT_TRUE(r2.converged);
     EXPECT_LT(node_voltage(r2.x, a) - node_voltage(r2.x, b), -0.6);
 }

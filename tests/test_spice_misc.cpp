@@ -29,7 +29,7 @@ TEST(Transistor, CurrentScalesLinearlyWithWidth) {
                                 spice::kGround, 1.0);
     auto& m3 = c.add_transistor("M3", device::make_ntfet(), d2, vdd,
                                 spice::kGround, 3.0);
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(m3.drain_current(r.x), 3.0 * m1.drain_current(r.x),
                 std::fabs(m1.drain_current(r.x)) * 1e-9);
@@ -59,7 +59,7 @@ TEST(PowerReport, TransistorDissipationBalancesSources) {
     c.add_vsource("V", vdd, spice::kGround, spice::Waveform::dc(0.8));
     c.add_resistor("R", vdd, out, 1e4);
     c.add_transistor("M", device::make_nmos(), out, vdd, spice::kGround, 1.0);
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     ASSERT_TRUE(r.converged);
     const spice::PowerReport rep = spice::power_report(c, r.x);
     EXPECT_GT(rep.dissipated, 1e-7);
@@ -78,7 +78,8 @@ TEST(Solver, BackwardEulerOptionWorks) {
     c.add_capacitor("C", out, spice::kGround, 1e-13);
     spice::SolverOptions opts;
     opts.integrator = spice::Integrator::kBackwardEuler;
-    const spice::TransientResult tr = spice::solve_transient(c, opts, 2e-9);
+    const spice::TransientResult tr =
+        spice::solve_transient(c, spice::ambient_context(), opts, 2e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
     EXPECT_NEAR(tr.final_voltage(out), 1.0, 1e-3);
 }
@@ -91,7 +92,8 @@ TEST(Solver, MaxStepGuardTerminates) {
     spice::SolverOptions opts;
     opts.max_steps = 3;
     opts.dt_max = 1e-13;
-    const spice::TransientResult tr = spice::solve_transient(c, opts, 1e-9);
+    const spice::TransientResult tr =
+        spice::solve_transient(c, spice::ambient_context(), opts, 1e-9);
     EXPECT_FALSE(tr.completed);
     EXPECT_NE(tr.message.find("max step count"), std::string::npos);
 }
@@ -109,7 +111,7 @@ TEST(Solver, SourceSteppingRecoversColdStart) {
     c.add_transistor("N1", m.ntfet, a, b, spice::kGround, 1.0);
     c.add_transistor("P2", m.ptfet, b, a, vdd, 1.0);
     c.add_transistor("N2", m.ntfet, b, a, spice::kGround, 1.0);
-    const spice::DcResult r = spice::solve_dc(c, {});
+    const spice::DcResult r = spice::solve_dc(c, spice::ambient_context(), {});
     EXPECT_TRUE(r.converged) << r.strategy;
 }
 
@@ -130,7 +132,8 @@ TEST(Fig5CurrentFlow, OnlyOneAccessConductsDuringTfetWrite) {
     const sram::HoldState hs = sram::solve_hold_state(cell, false, {});
     ASSERT_TRUE(hs.state_ok);
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, {}, w.wl_start + 60e-12, nullptr, &hs.x);
+        cell.circuit, spice::ambient_context(), {}, w.wl_start + 60e-12,
+        nullptr, &hs.x);
     ASSERT_TRUE(tr.completed) << tr.message;
 
     // Mid-write currents through the two access devices.
@@ -167,7 +170,8 @@ TEST(Fig5CurrentFlow, BothAccessesConductDuringCmosWrite) {
     const sram::HoldState hs = sram::solve_hold_state(cell, false, {});
     ASSERT_TRUE(hs.state_ok);
     const spice::TransientResult tr = spice::solve_transient(
-        cell.circuit, {}, w.wl_start + 15e-12, nullptr, &hs.x);
+        cell.circuit, spice::ambient_context(), {}, w.wl_start + 15e-12,
+        nullptr, &hs.x);
     ASSERT_TRUE(tr.completed) << tr.message;
 
     const spice::Transistor* axl = nullptr;

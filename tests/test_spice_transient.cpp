@@ -32,7 +32,8 @@ TEST(Transient, RcStepMatchesAnalytic) {
     RcFixture f;
     SolverOptions opts;
     opts.dt_max = 2e-11;
-    const TransientResult tr = solve_transient(f.c, opts, 6e-9);
+    const TransientResult tr =
+        solve_transient(f.c, ambient_context(), opts, 6e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
 
     const double tau = 1e-9;
@@ -45,7 +46,8 @@ TEST(Transient, RcStepMatchesAnalytic) {
 
 TEST(Transient, RcStartsAtDcOperatingPoint) {
     RcFixture f;
-    const TransientResult tr = solve_transient(f.c, {}, 0.5e-9);
+    const TransientResult tr =
+        solve_transient(f.c, ambient_context(), {}, 0.5e-9);
     ASSERT_TRUE(tr.completed);
     EXPECT_NEAR(tr.voltage(f.out, 0), 0.0, 1e-6);
     // Nothing happens before the step.
@@ -54,7 +56,8 @@ TEST(Transient, RcStartsAtDcOperatingPoint) {
 
 TEST(Transient, LandsOnBreakpoints) {
     RcFixture f;
-    const TransientResult tr = solve_transient(f.c, {}, 2e-9);
+    const TransientResult tr =
+        solve_transient(f.c, ambient_context(), {}, 2e-9);
     ASSERT_TRUE(tr.completed);
     bool hit = false;
     for (double t : tr.times())
@@ -69,7 +72,8 @@ TEST(Transient, StopConditionEndsEarly) {
     const auto stop = [out](double, const la::Vector& x) {
         return node_voltage(x, out) > 0.5;
     };
-    const TransientResult tr = solve_transient(f.c, {}, 10e-9, stop);
+    const TransientResult tr =
+        solve_transient(f.c, ambient_context(), {}, 10e-9, stop);
     ASSERT_TRUE(tr.completed);
     EXPECT_TRUE(tr.stopped_early);
     EXPECT_LT(tr.end_time(), 2.5e-9);
@@ -85,7 +89,7 @@ TEST(Transient, CapacitorDividerStepSharing) {
                   Waveform::pwl({{1e-10, 0.0}, {2e-10, 1.0}}));
     c.add_capacitor("C1", in, mid, 3e-15);
     c.add_capacitor("C2", mid, kGround, 1e-15);
-    const TransientResult tr = solve_transient(c, {}, 4e-10);
+    const TransientResult tr = solve_transient(c, ambient_context(), {}, 4e-10);
     ASSERT_TRUE(tr.completed) << tr.message;
     EXPECT_NEAR(tr.final_voltage(mid), 0.75, 0.02);
 }
@@ -101,7 +105,7 @@ TEST(Transient, TimedSwitchIsolatesNode) {
     c.add_switch("S", drv, bl, 1e3, 1e15,
                  Waveform::pwl({{1e-9, 1.0}, {1.05e-9, 0.0}}));
     c.add_capacitor("C", bl, kGround, 1e-14);
-    const TransientResult tr = solve_transient(c, {}, 5e-9);
+    const TransientResult tr = solve_transient(c, ambient_context(), {}, 5e-9);
     ASSERT_TRUE(tr.completed) << tr.message;
     EXPECT_NEAR(tr.final_voltage(drv), 0.0, 1e-3);
     EXPECT_NEAR(tr.final_voltage(bl), 1.0, 0.02); // held by the open switch

@@ -101,9 +101,9 @@ public:
             return t >= settle_after &&
                    std::fabs(spice::branch_voltage(x, q, qb)) > 0.85 * vdd;
         };
-        return spice::solve_transient(cell_.circuit, opts_.solver, w.t_end,
-                                      stop, guess != nullptr ? guess : &hold_.x,
-                                      tape);
+        return spice::solve_transient(
+            cell_.circuit, spice::ambient_context(), opts_.solver, w.t_end,
+            stop, guess != nullptr ? guess : &hold_.x, tape);
     }
     spice::TransientResult run(double pulse, spice::TransientTape* tape) {
         return run(program(pulse), tape);
