@@ -6,15 +6,15 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Ablation", "per-operation energy of the assists");
+int run_ablation_assist_energy(const runner::RunnerConfig& config) {
+    banner("Ablation", "per-operation energy of the assists");
     const sram::MetricOptions opts;
 
-    auto csv = bench::open_csv("ablation_assist_energy");
+    auto csv = open_csv("ablation_assist_energy", config);
     csv.write_row(std::vector<std::string>{"operation", "technique",
                                            "energy_J", "overhead_percent"});
 
@@ -25,7 +25,7 @@ int main() {
         cfg.kind = sram::CellKind::kTfet6T;
         cfg.access = sram::AccessDevice::kInwardP;
         cfg.beta = 2.0;
-        cfg.models = bench::standard_models();
+        cfg.models = standard_models();
         sram::SramCell base = sram::build_cell(cfg);
         const double e0 = sram::write_energy(base, 400e-12, sram::Assist::kNone);
         table.add_row({"none (write fails)", format_si(e0, "J"), "-"});
@@ -46,7 +46,7 @@ int main() {
         TablePrinter table({"read assist (beta=0.6)", "energy / read",
                             "overhead"});
         sram::CellConfig cfg = sram::proposed_design(
-            0.8, bench::standard_models()).config;
+            0.8, standard_models()).config;
         sram::SramCell base = sram::build_cell(cfg);
         const double e0 = sram::read_energy(base, sram::Assist::kNone, opts);
         table.add_row({"none (read flips)", format_si(e0, "J"), "-"});
@@ -66,7 +66,7 @@ int main() {
     {
         TablePrinter table({"design", "data-retention voltage"});
         for (const auto& d :
-             sram::comparison_designs(0.8, bench::standard_models())) {
+             sram::comparison_designs(0.8, standard_models())) {
             if (d.config.kind == sram::CellKind::kTfet7T)
                 continue; // same core as the proposed cell
             const double drv = sram::data_retention_voltage(d.config);
@@ -76,10 +76,12 @@ int main() {
         std::cout << table.render();
     }
 
-    bench::expectation(
+    expectation(
         "assists cost tens of percent of extra energy per access — the "
         "overhead the paper concedes qualitatively; GND lowering's price "
         "buys the read margin that makes the beta = 0.6 design viable. "
         "Retention voltages sit far below the 0.5-0.9 V operating range.");
     return 0;
 }
+
+} // namespace tfetsram::bench

@@ -4,14 +4,14 @@
 // proposed cell; GND-raising WA on a beta = 2 cell) to expose how much of
 // the margin the chosen operating point actually buys.
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Ablation", "assist strength sweep (10-50 % of VDD)");
+int run_ablation_assist_strength(const runner::RunnerConfig& config) {
+    banner("Ablation", "assist strength sweep (10-50 % of VDD)");
     sram::MetricOptions opts;
-    auto csv = bench::open_csv("ablation_assist_strength");
+    auto csv = open_csv("ablation_assist_strength", config);
     csv.write_row(std::vector<std::string>{"fraction", "drnm_gnd_lowering",
                                            "flip", "wlcrit_gnd_raising"});
 
@@ -24,7 +24,7 @@ int main() {
         ra_cfg.kind = sram::CellKind::kTfet6T;
         ra_cfg.access = sram::AccessDevice::kInwardP;
         ra_cfg.beta = 0.6;
-        ra_cfg.models = bench::standard_models();
+        ra_cfg.models = standard_models();
         sram::SramCell ra_cell = sram::build_cell(ra_cfg);
         const auto d = sram::dynamic_read_noise_margin(
             ra_cell, frac == 0.0 ? sram::Assist::kNone
@@ -47,10 +47,12 @@ int main() {
     }
     std::cout << table.render();
 
-    bench::expectation(
+    expectation(
         "reads flip without assist and recover somewhere between 10 % and "
         "30 %; write assistance improves WLcrit monotonically with "
         "strength. The paper's 30 % sits comfortably past the read-rescue "
         "knee for both.");
     return 0;
 }
+
+} // namespace tfetsram::bench

@@ -5,10 +5,10 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "device/table_builder.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
 namespace {
 
@@ -29,11 +29,11 @@ device::ModelSet models_at(double temperature) {
 
 } // namespace
 
-int main() {
-    bench::banner("Ablation", "temperature sweep (the athermal-tunneling edge)");
+int run_ablation_temperature(const runner::RunnerConfig& config) {
+    banner("Ablation", "temperature sweep (the athermal-tunneling edge)");
     const sram::MetricOptions opts;
 
-    auto csv = bench::open_csv("ablation_temperature");
+    auto csv = open_csv("ablation_temperature", config);
     csv.write_row(std::vector<std::string>{
         "temperature", "tfet_swing_mv", "mos_swing_mv", "p_tfet", "p_cmos",
         "orders"});
@@ -71,9 +71,11 @@ int main() {
     }
     std::cout << table.render();
 
-    bench::expectation(
+    expectation(
         "MOSFET swing and leakage scale with kT/q (the 6-order static-power "
         "gap widens by roughly two more orders from 300 K to 400 K); the "
         "TFET's tunneling swing is nearly flat in temperature.");
     return 0;
 }
+
+} // namespace tfetsram::bench

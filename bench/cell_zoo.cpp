@@ -12,7 +12,6 @@
 #include <cmath>
 #include <map>
 
-#include "bench_common.hpp"
 #include "device/model_zoo.hpp"
 #include "runner/sweep.hpp"
 #include "spice/solve_error.hpp"

@@ -5,15 +5,15 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Fig. 11", "write and read delay vs VDD");
+int run_fig11_delay(const runner::RunnerConfig& config) {
+    banner("Fig. 11", "write and read delay vs VDD");
     const sram::MetricOptions opts;
 
-    auto csv = bench::open_csv("fig11_delay");
+    auto csv = open_csv("fig11_delay", config);
     csv.write_row(std::vector<std::string>{"vdd", "design", "write_delay",
                                            "read_delay"});
 
@@ -21,15 +21,15 @@ int main() {
         TablePrinter table([&] {
             std::vector<std::string> h = {"VDD"};
             for (const auto& d :
-                 sram::comparison_designs(0.8, bench::standard_models()))
+                 sram::comparison_designs(0.8, standard_models()))
                 h.push_back(d.name);
             return h;
         }());
 
-        for (double vdd : bench::vdd_sweep()) {
+        for (double vdd : vdd_sweep()) {
             std::vector<std::string> row = {format_sci(vdd, 1)};
             for (const auto& design :
-                 sram::comparison_designs(vdd, bench::standard_models())) {
+                 sram::comparison_designs(vdd, standard_models())) {
                 sram::SramCell cell = sram::build_cell(design.config);
                 const double delay =
                     std::string(which) == "write"
@@ -48,7 +48,7 @@ int main() {
         std::cout << "-- " << which << " delay --\n" << table.render() << '\n';
     }
 
-    bench::expectation(
+    expectation(
         "write: CMOS is fastest over most of the range (bidirectional "
         "access); among the TFET designs the proposed cell wins (sized for "
         "write). read: the proposed cell with its RA is best at low VDD; "
@@ -56,3 +56,5 @@ int main() {
         "VDD for every design.");
     return 0;
 }
+
+} // namespace tfetsram::bench

@@ -5,22 +5,22 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Fig. 12", "write and read margins vs VDD");
+int run_fig12_margins(const runner::RunnerConfig& config) {
+    banner("Fig. 12", "write and read margins vs VDD");
     const sram::MetricOptions opts;
 
-    auto csv = bench::open_csv("fig12_margins");
+    auto csv = open_csv("fig12_margins", config);
     csv.write_row(
         std::vector<std::string>{"vdd", "design", "wlcrit", "drnm"});
 
     TablePrinter wl_table([&] {
         std::vector<std::string> h = {"VDD"};
         for (const auto& d :
-             sram::comparison_designs(0.8, bench::standard_models()))
+             sram::comparison_designs(0.8, standard_models()))
             if (d.wlcrit_defined)
                 h.push_back(d.name);
         return h;
@@ -28,16 +28,16 @@ int main() {
     TablePrinter dr_table([&] {
         std::vector<std::string> h = {"VDD"};
         for (const auto& d :
-             sram::comparison_designs(0.8, bench::standard_models()))
+             sram::comparison_designs(0.8, standard_models()))
             h.push_back(d.name);
         return h;
     }());
 
-    for (double vdd : bench::vdd_sweep()) {
+    for (double vdd : vdd_sweep()) {
         std::vector<std::string> wl_row = {format_sci(vdd, 1)};
         std::vector<std::string> dr_row = {format_sci(vdd, 1)};
         for (const auto& design :
-             sram::comparison_designs(vdd, bench::standard_models())) {
+             sram::comparison_designs(vdd, standard_models())) {
             sram::SramCell cell = sram::build_cell(design.config);
             double wl = std::nan("");
             if (design.wlcrit_defined) {
@@ -60,10 +60,12 @@ int main() {
               << "-- DRNM --\n"
               << dr_table.render();
 
-    bench::expectation(
+    expectation(
         "all TFET designs have larger WLcrit than CMOS (unidirectional "
         "conduction); among them the proposed cell is smallest. DRNM: the "
         "7T cell leads at high VDD thanks to its read buffer; the proposed "
         "cell with GND-lowering RA takes over at the low-VDD end.");
     return 0;
 }
+
+} // namespace tfetsram::bench

@@ -5,10 +5,10 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "device/models.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
 namespace {
 
@@ -16,8 +16,8 @@ std::string log10_str(double amps) {
     return format_sci(amps, 2);
 }
 
-void forward_iv() {
-    bench::banner("Fig. 2(a)", "TFET forward I-V (A/um)");
+void forward_iv(const runner::RunnerConfig& config) {
+    banner("Fig. 2(a)", "TFET forward I-V (A/um)");
     const auto ntfet = device::make_ntfet();
     const auto ptfet = device::make_ptfet();
 
@@ -30,7 +30,7 @@ void forward_iv() {
         return h;
     }());
 
-    auto csv = bench::open_csv("fig2a_forward_iv");
+    auto csv = open_csv("fig2a_forward_iv", config);
     csv.write_row(std::vector<std::string>{"vgs", "vds", "ids_n", "ids_p"});
     for (double vgs = 0.0; vgs <= 1.0 + 1e-9; vgs += 0.1) {
         std::vector<std::string> row = {format_sci(vgs, 1)};
@@ -49,13 +49,13 @@ void forward_iv() {
     std::cout << "\nIon  = " << format_sci(ion, 2) << " A/um (paper: 1e-4)"
               << "\nIoff = " << format_sci(ioff, 2) << " A/um (paper: 1e-17)"
               << "\non/off = 10^" << std::log10(ion / ioff) << " (paper: 13 decades)\n";
-    bench::expectation(
+    expectation(
         "steep swing near threshold flattening at high VGS; pTFET is the "
         "exact mirror of the nTFET.");
 }
 
-void reverse_iv() {
-    bench::banner("Fig. 2(b)", "nTFET reverse-bias I-V (A/um, source/drain swapped)");
+void reverse_iv(const runner::RunnerConfig& config) {
+    banner("Fig. 2(b)", "nTFET reverse-bias I-V (A/um, source/drain swapped)");
     const auto ntfet = device::make_ntfet();
 
     const std::vector<double> vds_list = {-0.1, -0.2, -0.4, -0.6, -0.8, -1.0};
@@ -66,7 +66,7 @@ void reverse_iv() {
         return h;
     }());
 
-    auto csv = bench::open_csv("fig2b_reverse_iv");
+    auto csv = open_csv("fig2b_reverse_iv", config);
     csv.write_row(std::vector<std::string>{"vgs", "vds", "ids"});
     for (double vgs = 0.0; vgs <= 1.0 + 1e-9; vgs += 0.2) {
         std::vector<std::string> row = {format_sci(vgs, 1)};
@@ -84,7 +84,7 @@ void reverse_iv() {
     std::cout << "\ngate control (Ion/Ioff): 10^" << std::log10(ctrl_low)
               << " at VDS=-0.1 vs 10^" << std::log10(ctrl_high)
               << " at VDS=-1.0\n";
-    bench::expectation(
+    expectation(
         "(i) the gate loses control over the channel at high |VDS| (p-i-n "
         "floor); (ii) reverse on-current is well below the forward "
         "on-current except for VDS close to 1 V or 0 V.");
@@ -92,8 +92,10 @@ void reverse_iv() {
 
 } // namespace
 
-int main() {
-    forward_iv();
-    reverse_iv();
+int run_fig2_tfet_iv(const runner::RunnerConfig& config) {
+    forward_iv(config);
+    reverse_iv(config);
     return 0;
 }
+
+} // namespace tfetsram::bench

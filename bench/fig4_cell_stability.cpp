@@ -4,9 +4,9 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
 namespace {
 
@@ -16,20 +16,20 @@ sram::SramCell make(sram::CellKind kind, sram::AccessDevice access,
     cfg.kind = kind;
     cfg.access = access;
     cfg.beta = beta;
-    cfg.models = bench::standard_models();
+    cfg.models = standard_models();
     return sram::build_cell(cfg);
 }
 
 } // namespace
 
-int main() {
-    bench::banner("Fig. 4", "DRNM and WLcrit vs cell ratio beta (VDD = 0.8 V)");
+int run_fig4_cell_stability(const runner::RunnerConfig& config) {
+    banner("Fig. 4", "DRNM and WLcrit vs cell ratio beta (VDD = 0.8 V)");
     const sram::MetricOptions opts;
     const std::vector<double> betas = {0.4, 0.6, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0};
 
     TablePrinter table({"beta", "DRNM in-p", "DRNM in-n", "DRNM CMOS",
                         "WLcrit in-p", "WLcrit in-n", "WLcrit CMOS"});
-    auto csv = bench::open_csv("fig4_cell_stability");
+    auto csv = open_csv("fig4_cell_stability", config);
     csv.write_row(std::vector<std::string>{
         "beta", "drnm_inp", "drnm_inn", "drnm_cmos", "wlcrit_inp",
         "wlcrit_inn", "wlcrit_cmos"});
@@ -65,7 +65,7 @@ int main() {
     }
     std::cout << table.render();
 
-    bench::expectation(
+    expectation(
         "WLcrit: infinite for inward nTFET at every beta and for inward "
         "pTFET beyond beta ~ 1; grows steeply with beta for inward pTFET; "
         "CMOS stays small and nearly flat. DRNM: grows with beta; CMOS "
@@ -73,3 +73,5 @@ int main() {
         "pull-down.");
     return 0;
 }
+
+} // namespace tfetsram::bench

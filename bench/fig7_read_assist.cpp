@@ -1,13 +1,13 @@
 // Fig. 7(e) reproduction: DRNM versus beta for the four read-assist
 // techniques (all at 30 % of VDD), on the inward-pTFET 6T cell.
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Fig. 7(e)",
-                  "read-assist effectiveness: DRNM vs beta (VDD = 0.8 V)");
+int run_fig7_read_assist(const runner::RunnerConfig& config) {
+    banner("Fig. 7(e)",
+           "read-assist effectiveness: DRNM vs beta (VDD = 0.8 V)");
     const sram::MetricOptions opts;
     const std::vector<double> betas = {0.3, 0.4, 0.6, 0.8, 1.0};
 
@@ -17,7 +17,7 @@ int main() {
             h.push_back(sram::to_string(a));
         return h;
     }());
-    auto csv = bench::open_csv("fig7_read_assist");
+    auto csv = open_csv("fig7_read_assist", config);
     csv.write_row(std::vector<std::string>{"beta", "none", "vdd_raising",
                                            "gnd_lowering", "wl_raising",
                                            "bl_lowering"});
@@ -30,7 +30,7 @@ int main() {
             cfg.kind = sram::CellKind::kTfet6T;
             cfg.access = sram::AccessDevice::kInwardP;
             cfg.beta = beta;
-            cfg.models = bench::standard_models();
+            cfg.models = standard_models();
             sram::SramCell cell = sram::build_cell(cfg);
             const auto d = sram::dynamic_read_noise_margin(cell, a, opts);
             row.push_back(d.flipped ? "flip"
@@ -45,7 +45,7 @@ int main() {
     }
     std::cout << table.render();
 
-    bench::expectation(
+    expectation(
         "every technique lifts the unassisted margin; the rail assists "
         "(GND lowering, VDD raising) dominate at moderate-to-large beta "
         "while the access-weakening assists (wordline raising, bitline "
@@ -54,3 +54,5 @@ int main() {
         "everywhere.");
     return 0;
 }
+
+} // namespace tfetsram::bench

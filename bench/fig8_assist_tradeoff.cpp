@@ -5,15 +5,15 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Fig. 8", "WLcrit vs DRNM tradeoff across all 8 techniques");
+int run_fig8_assist_tradeoff(const runner::RunnerConfig& config) {
+    banner("Fig. 8", "WLcrit vs DRNM tradeoff across all 8 techniques");
     const sram::MetricOptions opts;
 
-    auto csv = bench::open_csv("fig8_assist_tradeoff");
+    auto csv = open_csv("fig8_assist_tradeoff", config);
     csv.write_row(
         std::vector<std::string>{"technique", "beta", "drnm", "wlcrit"});
 
@@ -33,7 +33,7 @@ int main() {
             cfg.kind = sram::CellKind::kTfet6T;
             cfg.access = sram::AccessDevice::kInwardP;
             cfg.beta = beta;
-            cfg.models = bench::standard_models();
+            cfg.models = standard_models();
             sram::SramCell cell = sram::build_cell(cfg);
 
             const sram::Assist wa =
@@ -73,9 +73,11 @@ int main() {
               << overall.beta << "  (DRNM " << core::format_margin(overall.drnm)
               << ", WLcrit " << core::format_pulse(overall.wlcrit) << ")\n";
 
-    bench::expectation(
+    expectation(
         "the curve closest to the lower-right corner belongs to the "
         "GND-lowering read assist: size the cell for write (beta ~ 0.6) and "
         "assist the read.");
     return 0;
 }
+
+} // namespace tfetsram::bench

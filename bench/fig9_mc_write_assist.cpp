@@ -6,30 +6,30 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    // Explicit simulation context for the whole figure: env-derived
-    // defaults (solver mode, seed root, fault plan) frozen once, every
-    // Monte-Carlo batch below attributed to it.
-    const spice::SimContext ctx(spice::SimConfig::from_env());
+int run_fig9_mc_write_assist(const runner::RunnerConfig& config) {
+    // Explicit simulation context for the whole figure, built from the
+    // runner config's env snapshot (solver mode, seed root, deadline);
+    // every Monte-Carlo batch below is attributed to it.
+    const spice::SimContext ctx(config.sim);
     const std::size_t samples = mc::mc_samples_from_env(60);
-    bench::banner("Fig. 9", "process variation vs write assists (beta = 2, " +
-                                std::to_string(samples) + " samples)");
+    banner("Fig. 9", "process variation vs write assists (beta = 2, " +
+                         std::to_string(samples) + " samples)");
     const sram::MetricOptions opts;
 
     sram::CellConfig cfg;
     cfg.kind = sram::CellKind::kTfet6T;
     cfg.access = sram::AccessDevice::kInwardP;
     cfg.beta = 2.0;
-    cfg.models = bench::standard_models();
+    cfg.models = standard_models();
 
     mc::VariationSpec vspec;
     const mc::TfetVariationSampler sampler(vspec);
 
-    auto csv = bench::open_csv("fig9_mc_write_assist");
+    auto csv = open_csv("fig9_mc_write_assist", config);
     csv.write_row(std::vector<std::string>{"technique", "sample", "wlcrit"});
 
     TablePrinter summary({"technique", "mean", "stddev", "min", "max",
@@ -72,9 +72,11 @@ int main() {
               << format_sci(drnm.summary.stddev / drnm.summary.mean, 2)
               << ")\n";
 
-    bench::expectation(
+    expectation(
         "WLcrit varies greatly under tox variation for every WA technique "
         "(the paper even sees write failures for wordline lowering), while "
         "DRNM is hardly influenced.");
     return 0;
 }
+
+} // namespace tfetsram::bench

@@ -1,8 +1,9 @@
-// Runner-based implementations of the ported figures. The pattern shared
-// by all three: build one setup task for the tabulated model set, one
-// cacheable task per sweep point keyed on every input that matters, run
-// the graph, then assemble console table + CSV from the (possibly
-// replayed) TaskResults — so a warm run is byte-identical to the cold one.
+// The runner-based paper figures (fig6, fig10, array_scaling) and the
+// run_all registry. The pattern the three share: build one setup task for
+// the tabulated model set, one cacheable task per sweep point keyed on
+// every input that matters, run the graph, then assemble console table +
+// CSV from the (possibly replayed) TaskResults — so a warm run is
+// byte-identical to the cold one.
 
 #include "figures.hpp"
 
@@ -11,7 +12,6 @@
 #include <cmath>
 
 #include "array/array.hpp"
-#include "bench_common.hpp"
 #include "hier/engine.hpp"
 #include "mc/statistics.hpp"
 #include "mc/yield.hpp"
@@ -434,14 +434,14 @@ int run_array_scaling(const runner::RunnerConfig& config) {
                   std::to_string(cols);
         spec.deps = {models};
         // Note the timings below are part of the cached result: a warm run
-        // replays the recorded cold measurement (by design — the CSV is a
-        // record of the characterization, and byte-identical replay is the
-        // cache's contract). Run with TFETSRAM_CACHE=off to re-measure.
-        // schema v3: the sweep routes through hier::ArrayEngine; rows grew
-        // engine + hier event-counter columns, and the solver columns now
-        // describe the active partition on mixed points.
+        // replays the recorded cold measurement (by design — byte-identical
+        // replay is the cache's contract). Run with TFETSRAM_CACHE=off to
+        // re-measure. They go to the console and BENCH_array_scaling.json,
+        // never the CSV, so the CSV is the same on every run.
+        // schema v4: the init/write/read wall times left the CSV rows for
+        // "bench:" metrics (v3 routed the sweep through hier::ArrayEngine).
         spec.key = runner::CacheKey("array_scaling")
-                       .add("schema", 3)
+                       .add("schema", 4)
                        .add("model", device::kModelSetVersion)
                        .add("design", "proposed@0.8")
                        .add("read_assist", "ra_gnd_lowering")
@@ -496,6 +496,9 @@ int run_array_scaling(const runner::RunnerConfig& config) {
             result.set("init", format_si(secs(t0, t1), "s"));
             result.set("write", format_si(secs(t1, t2), "s"));
             result.set("read", format_si(secs(t2, t3), "s"));
+            result.set("bench:init_s", format_sci(secs(t0, t1), 8));
+            result.set("bench:write_s", format_sci(secs(t1, t2), 8));
+            result.set("bench:read_s", format_sci(secs(t2, t3), 8));
             result.set("functional", functional ? "yes" : "NO");
             result.set("solver", sparse ? "sparse" : "dense");
             result.set("pattern_nnz", std::to_string(si.pattern_nnz));
@@ -516,8 +519,6 @@ int run_array_scaling(const runner::RunnerConfig& config) {
                  eng.mixed() ? "mixed" : "flat",
                  format_sci(static_cast<double>(eng.transistors()), 8),
                  format_sci(static_cast<double>(si.unknowns), 8),
-                 format_sci(secs(t0, t1), 8), format_sci(secs(t1, t2), 8),
-                 format_sci(secs(t2, t3), 8),
                  format_sci(functional ? 1.0 : 0.0, 8),
                  sparse ? "sparse" : "dense",
                  format_sci(static_cast<double>(si.pattern_nnz), 8),
@@ -537,9 +538,9 @@ int run_array_scaling(const runner::RunnerConfig& config) {
 
     auto csv = open_csv("array_scaling", cfg);
     csv.write_row(std::vector<std::string>{
-        "rows", "cols", "engine", "transistors", "unknowns", "init_s",
-        "write_s", "read_s", "ok", "solver", "pattern_nnz", "lu_nnz",
-        "fill_ratio", "hier_promotions", "hier_guard_retries"});
+        "rows", "cols", "engine", "transistors", "unknowns", "ok", "solver",
+        "pattern_nnz", "lu_nnz", "fill_ratio", "hier_promotions",
+        "hier_guard_retries"});
     TablePrinter table({"array", "engine", "transistors", "unknowns",
                         "solver", "nnz", "fill", "init", "write", "read",
                         "functional"});
@@ -576,13 +577,45 @@ int run_array_scaling(const runner::RunnerConfig& config) {
 
 const std::vector<Figure>& ported_figures() {
     static const std::vector<Figure> figures = {
+        {"fig2_tfet_iv", "Fig. 2: TFET forward and reverse-bias I-V",
+         run_fig2_tfet_iv},
+        {"sec3_static_power",
+         "Sec. 3: hold static power by access-device choice",
+         run_sec3_static_power},
+        {"fig4_cell_stability", "Fig. 4: DRNM and WLcrit vs beta",
+         run_fig4_cell_stability},
         {"fig6_write_assist",
          "Fig. 6(e): WLcrit vs beta for the write assists",
          run_fig6_write_assist},
+        {"fig7_read_assist", "Fig. 7(e): DRNM vs beta for the read assists",
+         run_fig7_read_assist},
+        {"fig8_assist_tradeoff",
+         "Fig. 8: WLcrit vs DRNM tradeoff across all 8 assists",
+         run_fig8_assist_tradeoff},
+        {"fig9_mc_write_assist",
+         "Fig. 9: Monte-Carlo write-assist study at beta = 2",
+         run_fig9_mc_write_assist},
         {"fig10_mc_read_assist",
          "Fig. 10: Monte-Carlo read-assist study at beta = 0.6",
          run_fig10_mc_read_assist},
-        {"array_scaling", "array write/read wall time vs size",
+        {"fig11_delay", "Fig. 11: write and read delay vs VDD",
+         run_fig11_delay},
+        {"fig12_margins", "Fig. 12: WLcrit and DRNM vs VDD",
+         run_fig12_margins},
+        {"sec5_static_power", "Sec. 5: hold static power vs VDD",
+         run_sec5_static_power},
+        {"sec5_area", "Sec. 5: cell area comparison", run_sec5_area},
+        {"ablation_assist_strength", "assist strength sweep (0-50 % of VDD)",
+         run_ablation_assist_strength},
+        {"ablation_assist_energy", "per-operation energy of the assists",
+         run_ablation_assist_energy},
+        {"ablation_temperature", "temperature sweep of swing and hold power",
+         run_ablation_temperature},
+        {"half_select_study", "half-selected victim during a same-row write",
+         run_half_select_study},
+        {"readpath_study", "sense-enable timing with transistor periphery",
+         run_readpath_study},
+        {"array_scaling", "array write/read cost vs size",
          run_array_scaling},
         {"cell_zoo",
          "cell zoo: every registered design x (VDD, T, Tox) corner grid",

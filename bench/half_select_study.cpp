@@ -5,9 +5,9 @@
 // assist protect exactly the half-selected columns.
 
 #include "array/array.hpp"
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
 namespace {
 
@@ -21,7 +21,7 @@ Outcome run_case(double beta, bool protect) {
     array::ArrayConfig cfg;
     cfg.rows = 1;
     cfg.cols = 2;
-    cfg.cell = sram::proposed_design(0.8, bench::standard_models()).config;
+    cfg.cell = sram::proposed_design(0.8, standard_models()).config;
     cfg.cell.beta = beta;
     cfg.read_assist =
         protect ? sram::Assist::kRaGndLowering : sram::Assist::kNone;
@@ -38,11 +38,11 @@ Outcome run_case(double beta, bool protect) {
 
 } // namespace
 
-int main() {
-    bench::banner("Half-select study",
-                  "victim cell during a same-row write (VDD = 0.8 V)");
+int run_half_select_study(const runner::RunnerConfig& config) {
+    banner("Half-select study",
+           "victim cell during a same-row write (VDD = 0.8 V)");
 
-    auto csv = bench::open_csv("half_select_study");
+    auto csv = open_csv("half_select_study", config);
     csv.write_row(std::vector<std::string>{"beta", "protected", "write_ok",
                                            "victim_held", "separation"});
 
@@ -63,7 +63,7 @@ int main() {
     }
     std::cout << table.render();
 
-    bench::expectation(
+    expectation(
         "at the paper's beta = 0.6 the unprotected victim flips (the "
         "drawback the paper concedes); the segmented-virtual-ground "
         "GND-lowering assist restores full retention without disturbing "
@@ -72,3 +72,5 @@ int main() {
         "array-level.");
     return 0;
 }
+
+} // namespace tfetsram::bench

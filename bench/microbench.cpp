@@ -21,7 +21,6 @@
 #include <cmath>
 
 #include "array/array.hpp"
-#include "bench_common.hpp"
 #include "figures.hpp"
 #include "mc/yield.hpp"
 #include "spice/context.hpp"

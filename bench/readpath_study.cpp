@@ -5,14 +5,14 @@
 
 #include <cmath>
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "sram/operations.hpp"
 #include "sram/periphery.hpp"
 #include "spice/dc.hpp"
 #include "spice/solution.hpp"
 #include "spice/transient.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
 namespace {
 
@@ -32,7 +32,7 @@ struct Path {
 Path build_path(double vdd_level) {
     Path p;
     sram::CellConfig cc =
-        sram::proposed_design(vdd_level, bench::standard_models()).config;
+        sram::proposed_design(vdd_level, standard_models()).config;
     spice::Circuit& ckt = p.ckt;
     p.vdd = ckt.add_node("vdd");
     const auto vss = ckt.add_node("vss");
@@ -53,7 +53,7 @@ Path build_path(double vdd_level) {
                            "");
     sram::PeripheryConfig pc;
     pc.vdd = vdd_level;
-    pc.models = bench::standard_models();
+    pc.models = standard_models();
     // Adversarial 10 % latch mismatch: the offset fights the polarity the
     // read should resolve (q = 0 pulls BL low; the skew favours BLB low),
     // so the cell must develop a real differential before SAE fires.
@@ -118,10 +118,9 @@ Sense run_once(double vdd_level, double sae_delay) {
 
 } // namespace
 
-int main() {
-    bench::banner("Read-path study",
-                  "sense-enable timing with transistor periphery");
-    auto csv = bench::open_csv("readpath_study");
+int run_readpath_study(const runner::RunnerConfig& config) {
+    banner("Read-path study", "sense-enable timing with transistor periphery");
+    auto csv = open_csv("readpath_study", config);
     csv.write_row(std::vector<std::string>{"vdd", "sae_delay", "differential",
                                            "correct"});
 
@@ -148,10 +147,12 @@ int main() {
                       << "\n\n";
     }
 
-    bench::expectation(
+    expectation(
         "the differential grows with sensing delay; once it overcomes the "
         "latch's (adversarial 10 %) offset the read resolves correctly. "
         "The minimum safe sensing delay shrinks as VDD rises with the "
         "steeply growing cell current.");
     return 0;
 }
+
+} // namespace tfetsram::bench

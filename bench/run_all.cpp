@@ -1,7 +1,8 @@
-// Unified driver over the runner-ported figures: executes any subset by
-// name (default: all), sharing one result cache across figures.
+// The bench driver: runs any subset of the registered figures by name
+// (default: all of them, in EXPERIMENTS.md order) in one process, sharing
+// one result cache across the runner-based ones.
 //
-//   run_all                      # every ported figure
+//   run_all                      # every figure
 //   run_all fig6_write_assist array_scaling
 //   run_all --list               # what's available
 //   run_all --keep-going         # quarantine failed tasks, finish the rest
@@ -23,7 +24,7 @@ using namespace tfetsram;
 namespace {
 
 void list_figures() {
-    std::cout << "ported figures:\n";
+    std::cout << "figures:\n";
     for (const bench::Figure& fig : bench::ported_figures())
         std::cout << "  " << fig.name << " — " << fig.what << "\n";
 }

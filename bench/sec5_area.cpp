@@ -1,19 +1,19 @@
 // Sec. 5 area comparison: the three 6T designs share the minimum area; the
 // 7T cell's extra read transistor costs 10-15 %.
 
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "sram/area.hpp"
 
-using namespace tfetsram;
+namespace tfetsram::bench {
 
-int main() {
-    bench::banner("Sec. 5 (area)", "cell area comparison");
+int run_sec5_area(const runner::RunnerConfig& config) {
+    banner("Sec. 5 (area)", "cell area comparison");
 
-    auto csv = bench::open_csv("sec5_area");
+    auto csv = open_csv("sec5_area", config);
     csv.write_row(std::vector<std::string>{"design", "area_um2",
                                            "vs_proposed_percent"});
 
-    const auto designs = sram::comparison_designs(0.8, bench::standard_models());
+    const auto designs = sram::comparison_designs(0.8, standard_models());
     double a_prop = 0.0;
     TablePrinter table({"design", "transistors", "area [um^2]",
                         "vs proposed"});
@@ -33,8 +33,8 @@ int main() {
     // The isolated cost of the read port: compare the 7T cell against a 6T
     // TFET cell with the same internal sizing (beta), as the paper does.
     {
-        sram::CellConfig six = sram::proposed_design(0.8, bench::standard_models()).config;
-        sram::CellConfig seven = sram::tfet7t_design(0.8, bench::standard_models()).config;
+        sram::CellConfig six = sram::proposed_design(0.8, standard_models()).config;
+        sram::CellConfig seven = sram::tfet7t_design(0.8, standard_models()).config;
         six.beta = seven.beta;
         sram::SramCell c6 = sram::build_cell(six);
         sram::SramCell c7 = sram::build_cell(seven);
@@ -44,8 +44,10 @@ int main() {
                   << format_sci(premium, 2) << " %  (paper: 10-15 %)\n";
     }
 
-    bench::expectation(
+    expectation(
         "the 6T designs occupy the minimum area; the 7T read port costs an "
         "unavoidable 10-15 % increase.");
     return 0;
 }
+
+} // namespace tfetsram::bench

@@ -3,12 +3,13 @@
 # the standard RelWithDebInfo build + full ctest, a
 # fault-injection job exercising the keep-going/quarantine path end to end,
 # the solver microbenchmark (cache off, so every counter in the log is a
-# fresh measurement — docs/SOLVER.md), a determinism gate holding the
-# fig6/fig9/fig10 CSVs byte-identical at 1 and 4 threads, a cell-zoo job qualifying every
-# registered cell spec through signoff and the corner-sweep bench
-# (docs/CELLZOO.md), short traced perfbench runs of all three benchmark
-# workloads checked for correctness, counter repeatability and predicted
-# zeros (perfbench/README.md), an ASan+UBSan build running the
+# fresh measurement — docs/SOLVER.md), a determinism gate holding every
+# figure's CSV (microbench apart) byte-identical at 1 and 4 threads, a
+# cell-zoo job qualifying every registered cell spec through signoff and
+# the corner-sweep bench (docs/CELLZOO.md), short traced perfbench runs
+# of all three benchmark workloads checked for correctness, counter
+# repeatability and predicted zeros (perfbench/README.md), an
+# ASan+UBSan build running the
 # linear-kernel suites (the sparse LU's pointer-chasing DFS and in-place
 # pivoting are exactly the code sanitizers exist for) plus the netlist
 # parser suite, the runner suite (journal and BENCH emission build JSON
@@ -112,7 +113,8 @@ echo "=== microbench: solver hot-path counters ==="
 # Cache off: counters must be measured, not replayed (docs/SOLVER.md).
 BENCH_OUT="build/ci_bench_out"
 rm -rf "$BENCH_OUT"
-TFETSRAM_CACHE=off TFETSRAM_OUT_DIR="$BENCH_OUT" ./build/bench/microbench
+TFETSRAM_CACHE=off TFETSRAM_OUT_DIR="$BENCH_OUT" \
+  ./build/bench/run_all microbench
 grep -q '"failed":0' "$BENCH_OUT"/BENCH_microbench.json
 echo "microbench counters recorded in $BENCH_OUT/BENCH_microbench.json"
 
@@ -152,23 +154,31 @@ gate_wall mc_yield
 echo "=== determinism: figure CSVs identical at 1 and 4 threads ==="
 # The Monte-Carlo figures fan samples out over the pool and the runner
 # schedules sweep points dynamically; neither may change an output byte.
-# Cache off so both runs compute every point; a reduced sample count keeps
-# the two runs to seconds.
+# Every registered figure runs except microbench, whose CSV records wall
+# times. Cache off so both runs compute every point; a reduced sample
+# count keeps the two runs to seconds.
 DET_OUT="build/ci_determinism"
 rm -rf "$DET_OUT"
+mapfile -t FIGURES < <(./build/bench/run_all --list |
+  awk 'NR > 1 && $1 != "microbench" { print $1 }')
+if [[ "${#FIGURES[@]}" -eq 0 ]]; then
+  echo "run_all --list named no figures" >&2
+  exit 1
+fi
 for threads in 1 4; do
   out="$DET_OUT/threads$threads"
   mkdir -p "$out"
   TFETSRAM_THREADS="$threads" TFETSRAM_CACHE=off TFETSRAM_MC_SAMPLES=12 \
-    TFETSRAM_OUT_DIR="$out" ./build/bench/fig9_mc_write_assist >/dev/null
-  TFETSRAM_THREADS="$threads" TFETSRAM_CACHE=off TFETSRAM_MC_SAMPLES=12 \
-    TFETSRAM_OUT_DIR="$out" \
-    ./build/bench/run_all fig6_write_assist fig10_mc_read_assist >/dev/null
+    TFETSRAM_OUT_DIR="$out" ./build/bench/run_all "${FIGURES[@]}" >/dev/null
 done
-for name in fig9_mc_write_assist fig6_write_assist fig10_mc_read_assist; do
-  cmp "$DET_OUT/threads1/$name.csv" "$DET_OUT/threads4/$name.csv"
+diff <(cd "$DET_OUT/threads1" && ls -- *.csv) \
+  <(cd "$DET_OUT/threads4" && ls -- *.csv)
+CSVS=0
+for csv in "$DET_OUT"/threads1/*.csv; do
+  cmp "$csv" "$DET_OUT/threads4/$(basename "$csv")"
+  CSVS=$((CSVS + 1))
 done
-echo "fig6, fig9 and fig10 CSVs byte-identical at 1 and 4 threads"
+echo "$CSVS CSVs from ${#FIGURES[@]} figures byte-identical at 1 and 4 threads"
 
 echo "=== cell zoo: every registered spec through signoff + bench ==="
 # The zoo-labelled suite instantiates every cell-zoo entry, runs the full
@@ -185,7 +195,9 @@ TFETSRAM_CACHE=off TFETSRAM_ZOO_CORNERS=smoke \
   ./build/bench/run_all cell_zoo >/dev/null
 grep -q '"failed":0' "$ZOO_OUT"/BENCH_cell_zoo.json
 grep -q '"quarantined":0' "$ZOO_OUT"/BENCH_cell_zoo.json
-grep -q 'bench:' "$ZOO_OUT"/cell_zoo_journal.jsonl
+# The tasks' "bench:" values reach the journal with the prefix stripped,
+# as each line's "metrics" object (docs/RUNNER.md).
+grep -q '"metrics":{"wlcrit":' "$ZOO_OUT"/cell_zoo_journal.jsonl
 echo "cell-zoo signoff and bench artifacts verified"
 
 echo "=== perfbench: traced smoke runs of every workload ==="

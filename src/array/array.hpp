@@ -55,9 +55,10 @@ struct ReadResult {
 };
 
 /// Which linear kernel this array's circuit was routed to and how big the
-/// system is — recorded per point by bench/array_scaling (docs/SOLVER.md).
-/// The shared definition lives in spice/solver_info.hpp so the mixed-level
-/// engine can report the same structure per active partition.
+/// system is — recorded per point by `run_all array_scaling`
+/// (docs/SOLVER.md). The shared definition lives in spice/solver_info.hpp
+/// so the mixed-level engine can report the same structure per active
+/// partition.
 using SolverInfo = spice::SolverInfo;
 
 /// Validate an ArrayConfig before any MNA system is assembled from it.

@@ -119,12 +119,6 @@ const TaskError* Runner::error(TaskId id) const {
     return nodes_[id].error.get();
 }
 
-std::string Runner::csv_path(const std::string& name) const {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.out_dir, ec);
-    return (config_.out_dir / (name + ".csv")).string();
-}
-
 RunSummary Runner::run() {
     TFET_EXPECTS(!ran_);
     ran_ = true;

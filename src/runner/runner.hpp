@@ -152,9 +152,6 @@ public:
     [[nodiscard]] const RunnerConfig& config() const { return config_; }
     [[nodiscard]] const ResultCache& cache() const { return cache_; }
 
-    /// Convenience: open a CSV sink in the configured out dir.
-    [[nodiscard]] std::string csv_path(const std::string& name) const;
-
 private:
     struct Node {
         TaskSpec spec;

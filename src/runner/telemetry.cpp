@@ -6,17 +6,11 @@
 #include <cstdlib>
 
 #include "runner/json.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/table_printer.hpp"
 #include "util/units.hpp"
 
 namespace tfetsram::runner {
-
-std::filesystem::path out_dir_from_env() {
-    return std::filesystem::path(
-        env::get_string("TFETSRAM_OUT_DIR", "bench_csv"));
-}
 
 namespace {
 

@@ -15,10 +15,6 @@
 
 namespace tfetsram::runner {
 
-/// Where run artifacts (CSV, journal, BENCH json) land: TFETSRAM_OUT_DIR,
-/// falling back to the historical ./bench_csv.
-std::filesystem::path out_dir_from_env();
-
 /// Crash-safe file write: content goes to a unique temp file which is
 /// renamed over `path`, so readers never observe a partial artifact.
 /// Returns false on I/O failure (or an injected kFileWrite fault).

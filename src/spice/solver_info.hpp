@@ -3,7 +3,7 @@
 // single MNA system — which backend it was (or would be) routed to and how
 // big/sparse it is. The flat array engine reports one for its whole-array
 // circuit; the mixed-level engine (src/hier) reports one per active
-// partition, which is how bench/array_scaling records per-partition
+// partition, which is how `run_all array_scaling` records per-partition
 // unknowns/nnz/fill in the BENCH_array_scaling.json it writes to its output
 // directory (TFETSRAM_OUT_DIR; docs/SOLVER.md, docs/HIERARCHY.md).
 
